@@ -95,31 +95,6 @@ int run_edge(const std::string& config_path) {
   }
 }
 
-// Scrape one replica's live counters over `stats.sdns. CH TXT` — the same
-// endpoint sdns_dig's `+ch` uses. Returns an empty map when unreachable.
-std::map<std::string, std::string> scrape_counters(const net::SockAddr& addr) {
-  std::map<std::string, std::string> out;
-  net::StubResolver::Options ropt;
-  ropt.servers = {addr};
-  ropt.timeout = 1.0;
-  ropt.attempts = 3;
-  ropt.edns_payload = 4096;  // the sample set does not fit in 512 bytes
-  net::StubResolver scraper(ropt);
-  const auto r = scraper.query(dns::Name::parse("stats.sdns."),
-                               dns::RRType::kTXT, dns::RRClass::kCH);
-  if (!r.ok) return out;
-  for (const dns::ResourceRecord& rr : r.response.answers) {
-    if (rr.type != dns::RRType::kTXT || rr.rdata.empty()) continue;
-    const std::size_t len = rr.rdata[0];
-    if (1 + len > rr.rdata.size()) continue;
-    const std::string txt(rr.rdata.begin() + 1,
-                          rr.rdata.begin() + 1 + static_cast<std::ptrdiff_t>(len));
-    const auto eq = txt.find('=');
-    if (eq != std::string::npos) out[txt.substr(0, eq)] = txt.substr(eq + 1);
-  }
-  return out;
-}
-
 /// One point of the cores × shards matrix.
 struct CellSpec {
   unsigned cores = 1;    ///< replica processes pinned onto this many cores
@@ -260,7 +235,7 @@ CellResult run_cell(const CellSpec& spec, const std::string& dir,
   // histogram, and — the run's fault-free invariant — zero abcast fallbacks.
   std::vector<std::map<std::string, std::string>> counters;
   for (const net::SockAddr& addr : files.dns_addrs) {
-    counters.push_back(scrape_counters(addr));
+    counters.push_back(net::scrape_stats(addr));
   }
 
   for (pid_t pid : children) ::kill(pid, SIGTERM);
@@ -602,7 +577,7 @@ bool run_edge_scenario(unsigned edges, double rate, double duration,
   std::uint64_t edge_cache_hits = 0, edge_ixfr = 0;
   std::ostringstream edges_json;
   for (std::size_t k = 0; k < files.edge_addrs.size(); ++k) {
-    const auto c = scrape_counters(files.edge_addrs[k]);
+    const auto c = net::scrape_stats(files.edge_addrs[k]);
     auto get = [&c](const char* key) -> std::string {
       auto it = c.find(key);
       return it == c.end() ? "0" : it->second;

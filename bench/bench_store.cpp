@@ -195,18 +195,10 @@ RestartRow bench_restart(const std::string& base, std::size_t rrsets,
   DurableZoneStore::Options opt;
   opt.dir = dir;
   // The deployment verifier parses the embedded zone before trusting it and
-  // stashes the parsed Zone for the restore path to adopt by move; mirror
-  // that shape so open_ms is what a restarting sdnsd actually waits.
-  opt.verify = [threads](ZoneState& s) {
-    try {
-      auto z = std::make_shared<sdns::dns::Zone>(
-          sdns::dns::Zone::from_wire(s.zone_wire, threads));
-      s.verified_zone = std::move(z);
-      return true;
-    } catch (const sdns::util::ParseError&) {
-      return false;
-    }
-  };
+  // stashes the parsed Zone for the restore path to adopt by move; the
+  // synthetic zone is unsigned, so only the key pin is left out and open_ms
+  // is what a restarting sdnsd actually waits.
+  opt.verify = sdns::store::make_zone_verifier(std::nullopt, threads);
   DurableZoneStore store(opt);
   row.open_ms = (now_s() - t0) * 1e3;
   if (!store.recovered().usable() ||

@@ -288,7 +288,9 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
     o.delivery_log = svc.replica(i).delivery_log();
     o.zone_wire = svc.replica(i).server().zone().to_wire();
     o.zone_signed = svc.replica(i).server().zone_is_signed();
-    o.zone_verifies = o.zone_signed && dns::verify_zone(svc.replica(i).server().zone()).ok;
+    o.zone_verifies =
+        o.zone_signed &&
+        dns::verify_zone(svc.replica(i).server().zone(), svc.zone_public_key()).ok;
     obs.push_back(std::move(o));
   }
   const bool fault_free =

@@ -12,8 +12,9 @@
 //   zone-convergence   all honest replicas end with byte-identical zones at
 //                      the same delivery cursor;
 //   zone-signature     every honest replica's signed zone passes full DNSSEC
-//                      verification (threshold signing never produced an
-//                      invalid SIG);
+//                      verification under the dealt zone key (threshold
+//                      signing never produced an invalid SIG, and no forged
+//                      snapshot was adopted);
 //   recovery           no honest replica is stuck in state-transfer;
 //   liveness           once the network is quiet, a probe query and a probe
 //                      update complete successfully (bounded liveness).

@@ -1,7 +1,6 @@
 #include "core/replica.hpp"
 
 #include <algorithm>
-#include <any>
 #include <memory>
 
 #include "util/log.hpp"
@@ -419,18 +418,21 @@ void ReplicaNode::handle_snapshot(unsigned from, BytesView body) {
 
 void ReplicaNode::try_finish_recovery() {
   // Verify candidates; a snapshot counts once it passes full DNSSEC zone
-  // verification (signed zones) or at face value for unsigned ones, where
-  // freshness is established by t+1 agreeing on (cursor, zone) instead.
+  // verification under the dealt zone key (signed zones) or at face value
+  // for unsigned ones, where freshness is established by t+1 agreeing on
+  // (cursor, zone) instead. Pinning the key matters: a zone self-signed
+  // under a key a Byzantine peer made up verifies against its own apex KEY.
   std::vector<std::pair<unsigned, const Snapshot*>> valid;
   // Keep each candidate's parsed zone so the adopted one installs by move
   // instead of being parsed a second time (candidate count is at most n).
   std::map<const Snapshot*, dns::Zone> parsed;
+  const bool zone_signed = server_.zone_is_signed();
+  const crypto::RsaPublicKey trusted =
+      zone_signed ? zone_key_->rsa() : crypto::RsaPublicKey{};
   for (const auto& [from, snap] : recovery_snapshots_) {
     try {
       dns::Zone zone = dns::Zone::from_wire(snap.zone_wire);
-      if (server_.zone_is_signed()) {
-        if (!dns::verify_zone(zone).ok) continue;
-      }
+      if (zone_signed && !dns::verify_zone(zone, trusted).ok) continue;
       valid.push_back({from, &snap});
       parsed.emplace(&snap, std::move(zone));
     } catch (const util::ParseError&) {
@@ -442,7 +444,7 @@ void ReplicaNode::try_finish_recovery() {
   const std::size_t quorum = static_cast<std::size_t>(config_.t) + 1;
   if (valid.size() + recovery_current_acks_.size() < quorum) return;
   const Snapshot* best = nullptr;
-  if (server_.zone_is_signed()) {
+  if (zone_signed) {
     // Signed zone: any verified snapshot is authentic; take the freshest.
     for (const auto& [from, snap] : valid) {
       if (!best || snap->abcast_cursor > best->abcast_cursor) best = snap;
@@ -542,12 +544,11 @@ void ReplicaNode::restore_from_store(const store::RecoveredState& recovered) {
     // instead of re-parsing the wire (the second parse used to dominate a
     // 1M-RRset cold restart). The fallback parse covers stores opened with
     // a null or stash-less verifier.
-    const auto* cached =
-        std::any_cast<std::shared_ptr<dns::Zone>>(&snap.verified_zone);
-    if (cached && *cached && (*cached)->rrset_count() != 0) {
+    const std::shared_ptr<dns::Zone>& cached = snap.verified_zone;
+    if (cached && cached->rrset_count() != 0) {
       // rrset_count() == 0 means the stash was already consumed (or holds a
       // trivial zone) — re-parse rather than install a moved-from object.
-      server_.zone() = std::move(**cached);
+      server_.zone() = std::move(*cached);
     } else {
       try {
         server_.zone() = dns::Zone::from_wire(snap.zone_wire);

@@ -143,23 +143,7 @@ ReplicatedService::ReplicatedService(ServiceOptions options, const dns::Name& or
       store::DurableZoneStore::Options sopt;
       sopt.dir = opt_.data_dirs[i];
       sopt.snapshot_log_bytes = opt_.snapshot_log_bytes;
-      if (opt_.zone_signed) {
-        sopt.verify = [dealt = zone_pub_rsa_](store::ZoneState& s) {
-          try {
-            auto z = std::make_shared<dns::Zone>(dns::Zone::from_wire(s.zone_wire));
-            const dns::RRset* keys = z->find(z->origin(), dns::RRType::kKEY);
-            if (!keys || keys->rdatas.empty()) return false;
-            const crypto::RsaPublicKey pub = dns::zone_key_from_record(
-                dns::KeyRdata::decode(keys->rdatas.front()));
-            if (!(pub.n == dealt.n) || !(pub.e == dealt.e)) return false;
-            if (!dns::verify_zone(*z).ok) return false;
-            s.verified_zone = std::move(z);  // spare recovery the re-parse
-            return true;
-          } catch (const util::ParseError&) {
-            return false;
-          }
-        };
-      }
+      if (opt_.zone_signed) sopt.verify = store::make_zone_verifier(zone_pub_rsa_);
       dstore = std::make_unique<store::DurableZoneStore>(std::move(sopt));
       cb.store = dstore.get();
     }

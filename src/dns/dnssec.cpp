@@ -136,7 +136,11 @@ std::size_t sign_zone(Zone& zone, const crypto::RsaPublicKey& pub, std::uint32_t
   return targets.size();
 }
 
-ZoneVerifyResult verify_zone(const Zone& zone) {
+namespace {
+
+/// Whole-zone verification under the apex KEY, which must equal `trusted`
+/// when one is given.
+ZoneVerifyResult verify(const Zone& zone, const crypto::RsaPublicKey* trusted) {
   ZoneVerifyResult result;
   const RRset* key_rrset = zone.find(zone.origin(), RRType::kKEY);
   if (!key_rrset || key_rrset->rdatas.empty()) {
@@ -148,6 +152,10 @@ ZoneVerifyResult verify_zone(const Zone& zone) {
     pub = zone_key_from_record(KeyRdata::decode(key_rrset->rdatas.front()));
   } catch (const util::ParseError& e) {
     result.first_error = std::string("bad KEY record: ") + e.what();
+    return result;
+  }
+  if (trusted && !(pub == *trusted)) {
+    result.first_error = "apex KEY is not the trusted zone key";
     return result;
   }
 
@@ -189,7 +197,13 @@ ZoneVerifyResult verify_zone(const Zone& zone) {
       result.first_error = "missing NXT at " + names[i].to_string();
       return result;
     }
-    const NxtRdata rd = NxtRdata::decode(nxt->rdatas.front());
+    NxtRdata rd;
+    try {
+      rd = NxtRdata::decode(nxt->rdatas.front());
+    } catch (const util::ParseError&) {
+      result.first_error = "bad NXT record at " + names[i].to_string();
+      return result;
+    }
     const Name& expected_next = names[(i + 1) % names.size()];
     if (!(rd.next == expected_next)) {
       result.first_error = "NXT chain broken at " + names[i].to_string();
@@ -198,6 +212,14 @@ ZoneVerifyResult verify_zone(const Zone& zone) {
   }
   result.ok = true;
   return result;
+}
+
+}  // namespace
+
+ZoneVerifyResult verify_zone(const Zone& zone) { return verify(zone, nullptr); }
+
+ZoneVerifyResult verify_zone(const Zone& zone, const crypto::RsaPublicKey& trusted) {
+  return verify(zone, &trusted);
 }
 
 }  // namespace sdns::dns

@@ -80,5 +80,9 @@ struct ZoneVerifyResult {
   std::string first_error;  ///< empty when ok
 };
 ZoneVerifyResult verify_zone(const Zone& zone);
+/// The trust gate for zones received from a peer: the apex KEY must be
+/// `trusted` (the dealt zone key), and the zone must verify under it. The
+/// one-argument form alone accepts a zone self-signed under any key.
+ZoneVerifyResult verify_zone(const Zone& zone, const crypto::RsaPublicKey& trusted);
 
 }  // namespace sdns::dns

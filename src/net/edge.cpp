@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <map>
-#include <sstream>
 
 #include "dns/dnssec.hpp"
 #include "dns/xfr.hpp"
@@ -17,33 +14,10 @@ namespace sdns::net {
 using util::Bytes;
 using util::BytesView;
 
-namespace {
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-bool parse_bool(const std::string& v, const std::string& line) {
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  throw NetError("bad boolean in config line: " + line);
-}
-}  // namespace
-
 EdgeConfig EdgeConfig::load(const std::string& path) {
-  const Bytes raw = read_file(path);
-  std::istringstream in(std::string(raw.begin(), raw.end()));
   EdgeConfig cfg;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string stripped = trim(line.substr(0, line.find('#')));
-    if (stripped.empty()) continue;
-    const auto eq = stripped.find('=');
-    if (eq == std::string::npos) throw NetError("config line wants key = value: " + line);
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
+  read_config(path, [&](const std::string& key, const std::string& value,
+                        const std::string& line) {
     if (key == "origin") cfg.origin = value;
     else if (key == "zone_public") cfg.zone_public = value;
     else if (key == "listen_dns") cfg.listen_dns = SockAddr::parse(value);
@@ -60,7 +34,7 @@ EdgeConfig EdgeConfig::load(const std::string& path) {
     else if (key == "xfr_max_inflight") cfg.xfr_max_inflight = std::stoul(value);
     else if (key == "seed") cfg.seed = std::stoull(value);
     else throw NetError("unknown config key: " + key);
-  }
+  });
   if (cfg.zone_public.empty()) throw NetError("edge config needs zone_public in " + path);
   if (cfg.core.empty()) throw NetError("edge config needs at least one core = line in " + path);
   if (cfg.shards == 0 || cfg.shards > 16) {
@@ -82,11 +56,12 @@ EdgeRuntime::EdgeRuntime(EventLoop& loop, EdgeConfig config)
   c_verify_failures_ = &registry_.counter("edge.verify_failures");
   c_queries_preboot_ = &registry_.counter("edge.queries_before_bootstrap");
 
-  shards_.resize(cfg_.shards);
-  shards_[0].frontend = std::make_unique<DnsFrontend>(
-      loop_, frontend_options(0), [this](ClientId client, BytesView wire) {
-        handle_request(client, wire);
-      });
+  DnsFrontend::Options fopt = cfg_.frontend_options();
+  fopt.generation = &generation_;
+  fopt.metrics = &registry_;
+  frontends_ = std::make_unique<FrontendGroup>(
+      loop_, cfg_.shards, std::move(fopt),
+      [this](ClientId client, BytesView wire) { handle_request(client, wire); });
 }
 
 EdgeRuntime::~EdgeRuntime() {
@@ -96,48 +71,10 @@ EdgeRuntime::~EdgeRuntime() {
   }
   cv_.notify_one();
   if (worker_.joinable()) worker_.join();
-  for (Shard& shard : shards_) {
-    if (!shard.thread.joinable()) continue;
-    EventLoop* l = shard.loop.get();
-    l->post([l] { l->stop(); });
-    shard.thread.join();
-  }
-}
-
-DnsFrontend::Options EdgeRuntime::frontend_options(unsigned shard) {
-  DnsFrontend::Options fopt;
-  fopt.replica = 0;
-  fopt.shard = shard;
-  fopt.listen = cfg_.listen_dns;
-  fopt.reuseport = cfg_.shards > 1;
-  fopt.idle_timeout = cfg_.idle_timeout;
-  fopt.edns_payload = cfg_.edns_payload;
-  fopt.enable_cache = cfg_.packet_cache;
-  fopt.cache_entries = cfg_.cache_entries;
-  fopt.xfr_max_inflight = cfg_.xfr_max_inflight;
-  fopt.generation = &generation_;
-  fopt.metrics = &registry_;
-  return fopt;
 }
 
 void EdgeRuntime::start() {
-  shards_[0].frontend->start();
-  SockAddr resolved = shards_[0].frontend->bound_addr();
-  resolved.ip = cfg_.listen_dns.ip;
-  for (unsigned k = 1; k < cfg_.shards; ++k) {
-    Shard& shard = shards_[k];
-    shard.loop = std::make_unique<EventLoop>();
-    DnsFrontend::Options fopt = frontend_options(k);
-    fopt.listen = resolved;
-    shard.frontend = std::make_unique<DnsFrontend>(
-        *shard.loop, fopt, [this](ClientId client, BytesView wire) {
-          loop_.post([this, client, w = Bytes(wire.begin(), wire.end())] {
-            handle_request(client, w);
-          });
-        });
-    shard.frontend->start();
-    shard.thread = std::thread([l = shard.loop.get()] { l->run(); });
-  }
+  frontends_->start();
   {
     std::lock_guard<std::mutex> lk(mu_);
     refresh_wanted_ = true;  // bootstrap immediately
@@ -163,44 +100,26 @@ void EdgeRuntime::handle_request(ClientId client, BytesView wire) {
     c_notifies_->inc();
     dns::Message ack = dns::Message::make_response(request);
     ack.aa = true;
-    route_response(client, ack.encode(), std::nullopt);
+    frontends_->respond(client, ack.encode());
     request_refresh();
     return;
   }
   if (request.opcode != dns::Opcode::kQuery || request.questions.size() != 1) {
     dns::Message err = dns::Message::make_response(request);
     err.rcode = dns::Rcode::kNotImp;
-    route_response(client, err.encode(), std::nullopt);
+    frontends_->respond(client, err.encode());
     return;
   }
   const dns::Question& q = request.questions.front();
   if (q.klass == dns::RRClass::kCH) {
-    if (maybe_answer_stats(client, request)) return;
+    frontends_->answer_chaos(client, request, [this] { refresh_gauges(); });
+    return;
   }
-
   if (q.type == dns::RRType::kAXFR || q.type == dns::RRType::kIXFR) {
-    if (client_is_udp(client)) {
-      dns::Message stub = dns::Message::make_response(request);
-      stub.tc = true;
-      route_response(client, stub.encode(), std::nullopt);
-      return;
-    }
-    if (!server_) {
-      dns::Message refused = dns::Message::make_response(request);
-      refused.rcode = dns::Rcode::kRefused;
-      route_response(client, refused.encode(), std::nullopt);
-      return;
-    }
     // An edge can feed other edges (its copy is verified, and the threshold
     // signatures travel with it). Its journal is empty — the swap-in model
     // has no per-update diffs — so IXFR degrades to AXFR format.
-    constexpr std::size_t kXfrChunkWire = 60000;
-    std::vector<dns::Message> envelopes =
-        server_->answer_xfr(request, kXfrChunkWire);
-    std::vector<Bytes> wires;
-    wires.reserve(envelopes.size());
-    for (const dns::Message& m : envelopes) wires.push_back(m.encode());
-    route_xfr(client, std::move(wires));
+    frontends_->answer_xfr(client, request, server_.get());
     return;
   }
 
@@ -209,72 +128,14 @@ void EdgeRuntime::handle_request(ClientId client, BytesView wire) {
     c_queries_preboot_->inc();
     dns::Message fail = dns::Message::make_response(request);
     fail.rcode = dns::Rcode::kServFail;
-    route_response(client, fail.encode(), std::nullopt);
+    frontends_->respond(client, fail.encode());
     return;
   }
   const dns::Message response = server_->answer_query(request);
-  route_response(client, response.encode(), generation());
+  frontends_->respond(client, response.encode(), generation());
 }
 
-bool EdgeRuntime::maybe_answer_stats(ClientId client, const dns::Message& request) {
-  const dns::Question& q = request.questions.front();
-  dns::Message response = dns::Message::make_response(request);
-  static const dns::Name kStatsName = dns::Name::parse("stats.sdns.");
-  const bool type_ok = q.type == dns::RRType::kTXT || q.type == dns::RRType::kANY;
-  if (!(q.name.canonical() == kStatsName) || !type_ok) {
-    response.rcode = dns::Rcode::kRefused;
-    route_response(client, response.encode(), std::nullopt);
-    return true;
-  }
-  refresh_gauges();
-  for (const obs::Registry::Sample& s : registry_.export_samples()) {
-    std::string txt = s.name + "=" + s.value;
-    if (txt.size() > 255) txt.resize(255);
-    dns::ResourceRecord rr;
-    rr.name = q.name;
-    rr.type = dns::RRType::kTXT;
-    rr.klass = dns::RRClass::kCH;
-    rr.ttl = 0;
-    rr.rdata.push_back(static_cast<std::uint8_t>(txt.size()));
-    rr.rdata.insert(rr.rdata.end(), txt.begin(), txt.end());
-    response.answers.push_back(std::move(rr));
-  }
-  route_response(client, response.encode(), std::nullopt);
-  return true;
-}
-
-void EdgeRuntime::route_response(ClientId client, Bytes wire,
-                                 std::optional<std::uint64_t> generation) {
-  unsigned shard;
-  if (client_is_udp(client)) {
-    shard = client_udp_shard(client);
-    if (shard >= shards_.size()) shard = 0;
-  } else {
-    shard = client_tcp_shard(client);
-    if (shard >= shards_.size()) return;
-  }
-  if (!shards_[shard].loop) {
-    shards_[shard].frontend->respond(client, wire, generation);
-    return;
-  }
-  shards_[shard].loop->post(
-      [this, shard, client, w = std::move(wire), generation] {
-        shards_[shard].frontend->respond(client, w, generation);
-      });
-}
-
-void EdgeRuntime::route_xfr(ClientId client, std::vector<Bytes> wires) {
-  const unsigned shard = client_tcp_shard(client);
-  if (shard >= shards_.size()) return;
-  if (!shards_[shard].loop) {
-    shards_[shard].frontend->respond_xfr(client, wires);
-    return;
-  }
-  shards_[shard].loop->post([this, shard, client, ws = std::move(wires)] {
-    shards_[shard].frontend->respond_xfr(client, ws);
-  });
-}
-
+// Derived state, snapshotted into the registry just before each export.
 void EdgeRuntime::refresh_gauges() {
   registry_.gauge("edge.zone_generation")
       .set(static_cast<std::int64_t>(generation()));
@@ -356,7 +217,7 @@ void EdgeRuntime::refresh_once(StubResolver& resolver) {
   // The trust gate: nothing unverified ever reaches the serving path. The
   // transfer channel is plain TCP to a possibly-Byzantine replica; the
   // threshold signatures inside the zone are what we actually believe.
-  if (!verify_candidate(candidate)) {
+  if (!dns::verify_zone(candidate, dealt_).ok) {
     c_verify_failures_->inc();
     SDNS_LOG_WARN("sdns_edge: transfer rejected: zone failed verification",
                   " against the dealt zone key");
@@ -367,29 +228,11 @@ void EdgeRuntime::refresh_once(StubResolver& resolver) {
   } else {
     c_ixfr_applied_->inc();
   }
-  if (const auto soa = candidate.soa()) {
-    registry_.gauge("edge.zone_serial").set(static_cast<std::int64_t>(soa->serial));
-  }
   shadow_ = candidate;
   loop_.post([this, z = std::move(candidate)]() mutable {
     server_ = std::make_unique<dns::AuthoritativeServer>(std::move(z));
     generation_.fetch_add(1, std::memory_order_release);
-    registry_.gauge("edge.zone_generation")
-        .set(static_cast<std::int64_t>(generation()));
   });
-}
-
-bool EdgeRuntime::verify_candidate(const dns::Zone& zone) const {
-  try {
-    const dns::RRset* keys = zone.find(zone.origin(), dns::RRType::kKEY);
-    if (!keys || keys->rdatas.empty()) return false;
-    const crypto::RsaPublicKey pub =
-        dns::zone_key_from_record(dns::KeyRdata::decode(keys->rdatas.front()));
-    if (!(pub.n == dealt_.n) || !(pub.e == dealt_.e)) return false;
-    return dns::verify_zone(zone).ok;
-  } catch (const util::ParseError&) {
-    return false;
-  }
 }
 
 }  // namespace sdns::net

@@ -14,8 +14,9 @@
 // multiply — they add serving capacity without adding signing parties.
 //
 // Threading: the frontends and zone swap run on the owning loop (plus shard
-// threads, exactly like ReplicaRuntime); one transfer worker thread does the
-// blocking AXFR/IXFR + verification and posts verified zones to the loop.
+// threads — the same net::FrontendGroup a ReplicaRuntime runs); one
+// transfer worker thread does the blocking AXFR/IXFR + verification and
+// posts verified zones to the loop.
 #pragma once
 
 #include <atomic>
@@ -28,16 +29,15 @@
 
 #include "crypto/rsa.hpp"
 #include "dns/server.hpp"
-#include "net/frontend.hpp"
 #include "net/resolver.hpp"
+#include "net/serving.hpp"
 
 namespace sdns::net {
 
 /// The sdns_edge config file (`key = value`, same format as sdnsd's).
-struct EdgeConfig {
+struct EdgeConfig : ServingConfig {
   std::string origin = ".";
   std::string zone_public;  ///< dealt threshold zone key (the trust anchor)
-  SockAddr listen_dns;      ///< UDP + TCP client-facing endpoint
   /// Core replica DNS endpoints, one `core = host:port` line each. Transfers
   /// rotate through them, so any t+1 crashed replicas leave the edge live.
   std::vector<SockAddr> core;
@@ -47,12 +47,6 @@ struct EdgeConfig {
   /// Retry cadence while bootstrapping or after a failed transfer.
   double retry_interval = 2.0;
   double transfer_timeout = 5.0;  ///< per-attempt transfer receive timeout
-  double idle_timeout = 30.0;
-  std::uint16_t edns_payload = 4096;
-  unsigned shards = 1;
-  bool packet_cache = true;
-  std::size_t cache_entries = 4096;
-  std::size_t xfr_max_inflight = 8 * 1024 * 1024;
   std::uint64_t seed = 0;
 
   /// Parse the config file; throws NetError with the offending line.
@@ -68,8 +62,8 @@ class EdgeRuntime {
   /// AXFR bootstrap.
   void start();
 
-  DnsFrontend& frontend() { return *shards_.front().frontend; }
-  unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
+  DnsFrontend& frontend(unsigned shard = 0) { return frontends_->frontend(shard); }
+  unsigned shard_count() const { return frontends_->size(); }
   const EdgeConfig& config() const { return cfg_; }
   obs::Registry& registry() { return registry_; }
 
@@ -87,28 +81,14 @@ class EdgeRuntime {
   void request_refresh();
 
  private:
-  struct Shard {
-    std::unique_ptr<EventLoop> loop;  ///< null for shard 0 (main loop)
-    std::unique_ptr<DnsFrontend> frontend;
-    std::thread thread;
-  };
-
-  DnsFrontend::Options frontend_options(unsigned shard);
   /// Runs on the main loop: NOTIFY ack + refresh trigger, CH stats, XFR-out,
   /// or a plain query against the verified zone copy.
   void handle_request(ClientId client, util::BytesView wire);
-  bool maybe_answer_stats(ClientId client, const dns::Message& request);
-  void route_response(ClientId client, util::Bytes wire,
-                      std::optional<std::uint64_t> generation);
-  void route_xfr(ClientId client, std::vector<util::Bytes> wires);
   void refresh_gauges();
 
   // ---- transfer worker ----
   void transfer_worker();
   void refresh_once(StubResolver& resolver);
-  /// The trust gate: apex KEY must carry the dealt zone key and the whole
-  /// zone must verify under it.
-  bool verify_candidate(const dns::Zone& zone) const;
 
   EventLoop& loop_;
   EdgeConfig cfg_;
@@ -118,7 +98,8 @@ class EdgeRuntime {
   /// Main-loop only; null until the AXFR bootstrap verifies and installs.
   std::unique_ptr<dns::AuthoritativeServer> server_;
   std::atomic<std::uint64_t> generation_{0};
-  std::vector<Shard> shards_;
+  /// Destroyed before registry_ and generation_, which its frontends use.
+  std::unique_ptr<FrontendGroup> frontends_;
 
   // Worker state. `shadow_` is the worker's own zone copy — transfers apply
   // and verify against it off-loop, and only verified copies cross to the

@@ -57,22 +57,9 @@ bool DnsTcpDecoder::feed(BytesView data) {
 }
 
 std::optional<Bytes> DnsTcpDecoder::next() {
-  if (broken_) return std::nullopt;
-  const std::size_t avail = buf_.size() - consumed_;
-  if (avail < 2) return std::nullopt;
-  const std::size_t len =
-      static_cast<std::size_t>(buf_[consumed_]) << 8 | buf_[consumed_ + 1];
-  if (len < kDnsHeaderLen || len > max_message_) {
-    broken_ = true;
-    return std::nullopt;
-  }
-  if (avail < 2 + len) return std::nullopt;
-  Bytes msg(buf_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 2),
-            buf_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 2 + len));
-  consumed_ += 2 + len;
-  // A following frame's length prefix may now be visible and bogus; the
-  // caller sees it via broken() on the next feed/next cycle.
-  return msg;
+  const std::optional<BytesView> msg = next_view();
+  if (!msg) return std::nullopt;
+  return Bytes(msg->begin(), msg->end());
 }
 
 std::optional<BytesView> DnsTcpDecoder::next_view() {
@@ -88,6 +75,8 @@ std::optional<BytesView> DnsTcpDecoder::next_view() {
   if (avail < 2 + len) return std::nullopt;
   BytesView msg(buf_.data() + consumed_ + 2, len);
   consumed_ += 2 + len;
+  // A following frame's length prefix may now be visible and bogus; the
+  // caller sees it via broken() on the next feed/next cycle.
   return msg;
 }
 

@@ -5,8 +5,10 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <functional>
 
 #include "dns/edns.hpp"
 #include "dns/xfr.hpp"
@@ -42,6 +44,68 @@ bool matches(const dns::Message& request, const dns::Message& response) {
   return response.id == request.id && response.qr &&
          (response.opcode == dns::Opcode::kUpdate ||
           response.questions == request.questions);
+}
+
+/// One TCP exchange: connect to `server`, send `request` behind its RFC 1035
+/// length prefix, then feed each matching response to `on_message` until it
+/// returns true. Transport failures land in `out.error`.
+void tcp_exchange(const dns::Message& request, const SockAddr& server, double timeout,
+                  StubResolver::Result& out,
+                  const std::function<bool(dns::Message)>& on_message) {
+  out.used_tcp = true;
+  Fd sock(::socket(AF_INET, SOCK_STREAM, 0));
+  if (sock.fd < 0) {
+    out.error = "socket: " + std::string(std::strerror(errno));
+    return;
+  }
+  set_rcv_timeout(sock.fd, timeout);
+  const sockaddr_in sa = server.to_sockaddr();
+  for (;;) {
+    if (::connect(sock.fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) == 0) {
+      break;
+    }
+    // A signal can interrupt a blocking connect while the handshake keeps
+    // running in the kernel; re-issuing it reports EALREADY until it lands
+    // and EISCONN afterwards (POSIX connect §ERRORS).
+    if (errno == EINTR || errno == EALREADY) continue;
+    if (errno == EISCONN) break;
+    out.error = "connect: " + std::string(std::strerror(errno));
+    return;
+  }
+  const Bytes framed = DnsTcpDecoder::frame(request.encode());
+  for (std::size_t sent = 0; sent < framed.size();) {
+    const ssize_t n = retry_send(sock.fd, framed.data() + sent,
+                                 framed.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      out.error = "send: " + std::string(std::strerror(errno));
+      return;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  DnsTcpDecoder decoder;
+  std::uint8_t buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = retry_recv(sock.fd, buf, sizeof buf, 0);
+    if (n <= 0) {
+      out.error = n < 0 ? "timeout" : "connection closed";
+      return;
+    }
+    if (!decoder.feed({buf, static_cast<std::size_t>(n)})) {
+      out.error = "bad framing";
+      return;
+    }
+    while (auto wire = decoder.next()) {
+      dns::Message response;
+      try {
+        response = dns::Message::decode(*wire);
+      } catch (const util::ParseError&) {
+        out.error = "undecodable response";
+        return;
+      }
+      if (!matches(request, response)) continue;  // stray message
+      if (on_message(std::move(response))) return;
+    }
+  }
 }
 
 }  // namespace
@@ -86,140 +150,35 @@ StubResolver::Result StubResolver::exchange_udp(const dns::Message& request,
 StubResolver::Result StubResolver::exchange_tcp(const dns::Message& request,
                                                 const SockAddr& server) {
   Result out;
-  out.used_tcp = true;
-  Fd sock(::socket(AF_INET, SOCK_STREAM, 0));
-  if (sock.fd < 0) {
-    out.error = "socket: " + std::string(std::strerror(errno));
-    return out;
-  }
-  set_rcv_timeout(sock.fd, opt_.timeout);
-  const sockaddr_in sa = server.to_sockaddr();
-  for (;;) {
-    if (::connect(sock.fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) == 0) {
-      break;
-    }
-    // A signal can interrupt a blocking connect while the handshake keeps
-    // running in the kernel; re-issuing it reports EALREADY until it lands
-    // and EISCONN afterwards (POSIX connect §ERRORS).
-    if (errno == EINTR || errno == EALREADY) continue;
-    if (errno == EISCONN) break;
-    out.error = "connect: " + std::string(std::strerror(errno));
-    return out;
-  }
-  const Bytes framed = DnsTcpDecoder::frame(request.encode());
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = retry_send(sock.fd, framed.data() + sent,
-                                 framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      out.error = "send: " + std::string(std::strerror(errno));
-      return out;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  DnsTcpDecoder decoder;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = retry_recv(sock.fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      out.error = "timeout";
-      return out;
-    }
-    if (n == 0) {
-      out.error = "connection closed";
-      return out;
-    }
-    if (!decoder.feed({buf, static_cast<std::size_t>(n)})) {
-      out.error = "bad framing";
-      return out;
-    }
-    while (auto wire = decoder.next()) {
-      try {
-        dns::Message response = dns::Message::decode(*wire);
-        if (!matches(request, response)) continue;
-        out.ok = true;
-        out.response = std::move(response);
-        return out;
-      } catch (const util::ParseError&) {
-        out.error = "undecodable response";
-        return out;
-      }
-    }
-  }
+  tcp_exchange(request, server, opt_.timeout, out, [&](dns::Message response) {
+    out.ok = true;
+    out.response = std::move(response);
+    return true;
+  });
+  return out;
 }
 
 StubResolver::Result StubResolver::xfr_tcp(const dns::Message& request,
                                            const SockAddr& server) {
   Result out;
-  out.used_tcp = true;
-  Fd sock(::socket(AF_INET, SOCK_STREAM, 0));
-  if (sock.fd < 0) {
-    out.error = "socket: " + std::string(std::strerror(errno));
-    return out;
-  }
-  set_rcv_timeout(sock.fd, opt_.timeout);
-  const sockaddr_in sa = server.to_sockaddr();
-  for (;;) {
-    if (::connect(sock.fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) == 0) {
-      break;
-    }
-    if (errno == EINTR || errno == EALREADY) continue;
-    if (errno == EISCONN) break;
-    out.error = "connect: " + std::string(std::strerror(errno));
-    return out;
-  }
-  const Bytes framed = DnsTcpDecoder::frame(request.encode());
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = retry_send(sock.fd, framed.data() + sent,
-                                 framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      out.error = "send: " + std::string(std::strerror(errno));
-      return out;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
   // Read envelopes until the assembler sees the transfer close (trailing
   // SOA / diff walk complete / lone up-to-date SOA).
   dns::XfrAssembler assembler;
-  DnsTcpDecoder decoder;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = retry_recv(sock.fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      out.error = "timeout";
-      return out;
+  tcp_exchange(request, server, opt_.timeout, out, [&](dns::Message envelope) {
+    switch (assembler.feed(envelope)) {
+      case dns::XfrAssembler::State::kContinue:
+        return false;
+      case dns::XfrAssembler::State::kDone:
+        out.ok = true;
+        out.response = assembler.combined();
+        return true;
+      case dns::XfrAssembler::State::kMalformed:
+        break;
     }
-    if (n == 0) {
-      out.error = "connection closed mid-transfer";
-      return out;
-    }
-    if (!decoder.feed({buf, static_cast<std::size_t>(n)})) {
-      out.error = "bad framing";
-      return out;
-    }
-    while (auto wire = decoder.next()) {
-      dns::Message envelope;
-      try {
-        envelope = dns::Message::decode(*wire);
-      } catch (const util::ParseError&) {
-        out.error = "undecodable envelope";
-        return out;
-      }
-      if (!matches(request, envelope)) continue;  // stray message
-      switch (assembler.feed(envelope)) {
-        case dns::XfrAssembler::State::kContinue:
-          break;
-        case dns::XfrAssembler::State::kDone:
-          out.ok = true;
-          out.response = assembler.combined();
-          return out;
-        case dns::XfrAssembler::State::kMalformed:
-          out.error = "malformed transfer stream";
-          return out;
-      }
-    }
-  }
+    out.error = "malformed transfer stream";
+    return true;
+  });
+  return out;
 }
 
 StubResolver::Result StubResolver::xfr(dns::Message request) {
@@ -284,6 +243,28 @@ StubResolver::Result StubResolver::send_update(dns::Message update,
   }
   if (key) dns::tsig_sign(update, *key, timestamp);
   return exchange(std::move(update));
+}
+
+std::map<std::string, std::string> scrape_stats(const SockAddr& server,
+                                                double timeout, unsigned attempts) {
+  StubResolver::Options opt;
+  opt.servers = {server};
+  opt.timeout = timeout;
+  opt.attempts = attempts;
+  opt.edns_payload = 4096;
+  StubResolver resolver(std::move(opt));
+  const auto res = resolver.query(dns::Name::parse("stats.sdns."), dns::RRType::kTXT,
+                                  dns::RRClass::kCH);
+  std::map<std::string, std::string> out;
+  if (!res.ok) return out;
+  for (const dns::ResourceRecord& rr : res.response.answers) {
+    if (rr.type != dns::RRType::kTXT || rr.rdata.empty()) continue;
+    const std::size_t len = std::min<std::size_t>(rr.rdata[0], rr.rdata.size() - 1);
+    const std::string txt(rr.rdata.begin() + 1, rr.rdata.begin() + 1 + len);
+    const auto eq = txt.find('=');
+    if (eq != std::string::npos) out[txt.substr(0, eq)] = txt.substr(eq + 1);
+  }
+  return out;
 }
 
 }  // namespace sdns::net

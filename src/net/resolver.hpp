@@ -11,6 +11,7 @@
 // test body, and nothing here may depend on the replicas' event loop.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,5 +73,13 @@ class StubResolver {
   Options opt_;
   std::uint16_t next_id_ = 0x517;
 };
+
+/// Scrape a replica's or edge's `stats.sdns. CH TXT` introspection into
+/// sample name -> value string (histogram values are decimal floats; integer
+/// callers convert). EDNS 4096 fits the sample set in one datagram, and a
+/// truncated answer is retried over TCP. Empty when the server is unreachable.
+std::map<std::string, std::string> scrape_stats(const SockAddr& server,
+                                                double timeout = 1.0,
+                                                unsigned attempts = 3);
 
 }  // namespace sdns::net

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "dns/dnssec.hpp"
 #include "dns/message.hpp"
 
 #include "abcast/group.hpp"
@@ -36,12 +35,6 @@ void write_file(const std::string& path, BytesView data) {
 }
 
 namespace {
-bool parse_bool(const std::string& v, const std::string& line) {
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  throw NetError("bad boolean in config line: " + line);
-}
-
 threshold::SigProtocol parse_protocol(const std::string& v, const std::string& line) {
   if (v == "basic") return threshold::SigProtocol::kBasic;
   if (v == "optproof") return threshold::SigProtocol::kOptProof;
@@ -60,37 +53,13 @@ core::CorruptionMode parse_corruption(const std::string& v, const std::string& l
   throw NetError("bad corruption in config line: " + line);
 }
 
-// FNV-1a over arbitrary byte runs, top bit cleared so the value survives a
-// round trip through an int64 gauge and a strtoull-based scraper unchanged.
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
 }  // namespace
 
 RuntimeConfig RuntimeConfig::load(const std::string& path) {
-  const Bytes raw = read_file(path);
-  std::istringstream in(std::string(raw.begin(), raw.end()));
   RuntimeConfig cfg;
   std::map<unsigned, SockAddr> peers;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string stripped = trim(line.substr(0, line.find('#')));
-    if (stripped.empty()) continue;
-    const auto eq = stripped.find('=');
-    if (eq == std::string::npos) throw NetError("config line wants key = value: " + line);
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
+  read_config(path, [&](const std::string& key, const std::string& value,
+                        const std::string& line) {
     if (key == "id") cfg.id = static_cast<unsigned>(std::stoul(value));
     else if (key == "n") cfg.n = static_cast<unsigned>(std::stoul(value));
     else if (key == "t") cfg.t = static_cast<unsigned>(std::stoul(value));
@@ -137,7 +106,7 @@ RuntimeConfig RuntimeConfig::load(const std::string& path) {
     } else {
       throw NetError("unknown config key: " + key);
     }
-  }
+  });
   cfg.mesh_peers.assign(cfg.n, SockAddr{});
   for (const auto& [id, addr] : peers) {
     if (id >= cfg.n) throw NetError("peer id out of range in " + path);
@@ -217,28 +186,9 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
     // recovery falls back to the network transfer.
     const bool zone_signed =
         zone.find(zone.origin(), dns::RRType::kKEY) != nullptr;
-    const crypto::RsaPublicKey dealt = zone_pub->rsa();
-    const unsigned parse_threads = cfg_.parse_threads;
-    sopt.verify = [dealt, zone_signed, parse_threads](store::ZoneState& s) {
-      try {
-        auto z = std::make_shared<dns::Zone>(
-            dns::Zone::from_wire(s.zone_wire, parse_threads));
-        if (zone_signed) {
-          const dns::RRset* keys = z->find(z->origin(), dns::RRType::kKEY);
-          if (!keys || keys->rdatas.empty()) return false;
-          const crypto::RsaPublicKey pub = dns::zone_key_from_record(
-              dns::KeyRdata::decode(keys->rdatas.front()));
-          if (!(pub.n == dealt.n) || !(pub.e == dealt.e)) return false;
-          if (!dns::verify_zone(*z).ok) return false;
-        }
-        // Hand the parse to recovery: restore_from_store installs this
-        // object instead of re-parsing the 37 MB wire a second time.
-        s.verified_zone = std::move(z);
-        return true;
-      } catch (const util::ParseError&) {
-        return false;
-      }
-    };
+    sopt.verify = store::make_zone_verifier(
+        zone_signed ? std::optional(zone_pub->rsa()) : std::nullopt,
+        cfg_.parse_threads);
     store_ = std::make_unique<store::DurableZoneStore>(std::move(sopt));
   }
 
@@ -252,7 +202,7 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
     // Captured on the replica thread — the sole zone mutator — so the stamp
     // can never be newer than the zone state this answer reflects. The
     // pending-store gate in the frontend decides whether it is cached.
-    route_response(client, m, replica_->zone_generation_value());
+    frontends_->respond(client, m, replica_->zone_generation_value());
   };
   cb.now = [this] { return loop_.now(); };
   // Every commit point (applied batch, installed signature, recovery
@@ -271,16 +221,15 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
       util::Rng(seed, cfg_.id), cfg_.corruption);
 
   // ---- transports ----
-  // Shard 0 rides the main loop; its frontend is built now so tests can
-  // reach it before start(). Shards 1..N-1 are built in start(), once the
-  // REUSEPORT group's port is resolved. Counters (shared registry) are
-  // resolved in each frontend's constructor on this thread, before any
-  // shard thread exists.
-  shards_.resize(cfg_.shards);
-  shards_[0].frontend = std::make_unique<DnsFrontend>(
-      loop_, frontend_options(0), [this](ClientId client, BytesView wire) {
-        handle_request(client, wire);
-      });
+  DnsFrontend::Options fopt = cfg_.frontend_options();
+  fopt.replica = cfg_.id;
+  fopt.generation = &replica_->zone_generation();
+  fopt.metrics = &registry_;
+  fopt.injector = injector_.get();
+  fopt.client_node = cfg_.n;  // sim convention: the client is node n
+  frontends_ = std::make_unique<FrontendGroup>(
+      loop_, cfg_.shards, std::move(fopt),
+      [this](ClientId client, BytesView wire) { handle_request(client, wire); });
 
   Mesh::Options mopt;
   mopt.self = cfg_.id;
@@ -312,187 +261,56 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
     nopt.edges = cfg_.notify_edges;
     nopt.zone = replica_->server().zone().origin();
     nopt.metrics = &registry_;
-    notifier_ = std::make_unique<Notifier>(loop_, std::move(nopt), [this] {
-      std::optional<dns::ResourceRecord> soa;
-      const dns::Zone& zone = replica_->server().zone();
-      if (const dns::RRset* rrset = zone.find(zone.origin(), dns::RRType::kSOA);
-          rrset && !rrset->rdatas.empty()) {
-        dns::ResourceRecord rr;
-        rr.name = rrset->name;
-        rr.type = rrset->type;
-        rr.ttl = rrset->ttl;
-        rr.rdata = rrset->rdatas.front();
-        soa = std::move(rr);
-      }
-      return soa;
-    });
+    notifier_ = std::make_unique<Notifier>(
+        loop_, std::move(nopt), [this]() -> std::optional<dns::ResourceRecord> {
+          const dns::Zone& zone = replica_->server().zone();
+          const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::kSOA);
+          if (!soa || soa->rdatas.empty()) return std::nullopt;
+          return soa->to_records().front();
+        });
   }
-}
-
-ReplicaRuntime::~ReplicaRuntime() {
-  for (Shard& shard : shards_) {
-    if (!shard.thread.joinable()) continue;
-    // post() rather than stop(): a stop() issued before the thread enters
-    // run() would be overwritten by run()'s own running_ = true.
-    EventLoop* l = shard.loop.get();
-    l->post([l] { l->stop(); });
-    shard.thread.join();
-  }
-}
-
-DnsFrontend::Options ReplicaRuntime::frontend_options(unsigned shard) {
-  DnsFrontend::Options fopt;
-  fopt.replica = cfg_.id;
-  fopt.shard = shard;
-  fopt.listen = cfg_.listen_dns;
-  fopt.reuseport = cfg_.shards > 1;
-  fopt.idle_timeout = cfg_.idle_timeout;
-  fopt.edns_payload = cfg_.edns_payload;
-  fopt.enable_cache = cfg_.packet_cache;
-  fopt.cache_entries = cfg_.cache_entries;
-  fopt.xfr_max_inflight = cfg_.xfr_max_inflight;
-  fopt.generation = &replica_->zone_generation();
-  fopt.metrics = &registry_;
-  fopt.injector = injector_.get();
-  fopt.client_node = cfg_.n;  // sim convention: the client is node n
-  return fopt;
 }
 
 void ReplicaRuntime::handle_request(ClientId client, BytesView wire) {
-  if (maybe_answer_stats(client, wire)) return;
-  if (maybe_answer_xfr(client, wire)) return;
-  replica_->on_client_request(client, wire);
-}
-
-bool ReplicaRuntime::maybe_answer_xfr(ClientId client, BytesView wire) {
   dns::Message request;
   try {
     request = dns::Message::decode(wire);
   } catch (const util::ParseError&) {
-    return false;
-  }
-  if (request.qr || request.opcode != dns::Opcode::kQuery ||
-      request.questions.size() != 1) {
-    return false;
-  }
-  const dns::Question& q = request.questions.front();
-  if (q.type != dns::RRType::kAXFR && q.type != dns::RRType::kIXFR) {
-    return false;
-  }
-  if (client_is_udp(client)) {
-    // RFC 5936 §4.2: AXFR is TCP-only. For IXFR over UDP a full answer may
-    // not fit either; both get a truncated stub so the resolver retries TCP.
-    dns::Message stub = dns::Message::make_response(request);
-    stub.tc = true;
-    route_response(client, stub.encode(), std::nullopt);
-    return true;
-  }
-  // Leave ~1.5 KiB of the 64 KiB TCP frame for the compressed header,
-  // question, and the pessimism gap of canonical-size budgeting.
-  constexpr std::size_t kXfrChunkWire = 60000;
-  bool used_axfr = false;
-  std::vector<dns::Message> envelopes =
-      replica_->server().answer_xfr(request, kXfrChunkWire, &used_axfr);
-  if (q.type == dns::RRType::kAXFR) {
-    registry_.counter("replica.axfr_out").inc();
-  } else {
-    registry_.counter("replica.ixfr_out").inc();
-    if (used_axfr) registry_.counter("replica.ixfr_fallback_axfr").inc();
-  }
-  std::vector<Bytes> wires;
-  wires.reserve(envelopes.size());
-  for (const dns::Message& m : envelopes) wires.push_back(m.encode());
-  route_xfr(client, std::move(wires));
-  return true;
-}
-
-void ReplicaRuntime::route_xfr(ClientId client, std::vector<Bytes> wires) {
-  const unsigned shard = client_tcp_shard(client);
-  if (shard >= shards_.size()) return;  // stale id from an old config
-  if (!shards_[shard].loop) {
-    shards_[shard].frontend->respond_xfr(client, wires);
+    replica_->on_client_request(client, wire);
     return;
   }
-  shards_[shard].loop->post([this, shard, client, ws = std::move(wires)] {
-    shards_[shard].frontend->respond_xfr(client, ws);
-  });
-}
-
-void ReplicaRuntime::route_response(ClientId client, Bytes wire,
-                                    std::optional<std::uint64_t> generation) {
-  unsigned shard;
-  if (client_is_udp(client)) {
-    // The ClientId carries the shard that received the query, so responses
-    // — including ones produced asynchronously, e.g. abcast-disseminated
-    // reads — go back to the loop holding the pending cache-store context.
-    // An id minted by a replica with more shards than this one maps to
-    // shard 0: any UDP socket of the group can answer, and the minting
-    // shard's pending store lives on another machine anyway.
-    shard = client_udp_shard(client);
-    if (shard >= shards_.size()) shard = 0;
-  } else {
-    shard = client_tcp_shard(client);
-    if (shard >= shards_.size()) return;  // stale id from an old config
-  }
-  if (!shards_[shard].loop) {
-    shards_[shard].frontend->respond(client, wire, generation);
-    return;
-  }
-  shards_[shard].loop->post(
-      [this, shard, client, w = std::move(wire), generation] {
-        shards_[shard].frontend->respond(client, w, generation);
-      });
-}
-
-bool ReplicaRuntime::maybe_answer_stats(ClientId client, BytesView wire) {
-  dns::Message request;
-  try {
-    request = dns::Message::decode(wire);
-  } catch (const util::ParseError&) {
-    return false;
-  }
-  if (request.opcode != dns::Opcode::kQuery || request.questions.size() != 1) {
-    return false;
-  }
-  const dns::Question& q = request.questions.front();
-  if (q.klass != dns::RRClass::kCH) return false;
-
-  // All CHAOS-class traffic is served locally — it describes this server,
-  // not the zone, so it must not go through atomic broadcast.
-  dns::Message response = dns::Message::make_response(request);
-  static const dns::Name kStatsName = dns::Name::parse("stats.sdns.");
-  static const dns::Name kRecoverName = dns::Name::parse("recover.sdns.");
-  const bool stats_ok = q.name.canonical() == kStatsName;
-  const bool recover_ok = q.name.canonical() == kRecoverName;
-  const bool type_ok = q.type == dns::RRType::kTXT || q.type == dns::RRType::kANY;
-  const auto append_txt = [&](std::string txt) {
-    if (txt.size() > 255) txt.resize(255);  // single character-string cap
-    dns::ResourceRecord rr;
-    rr.name = q.name;
-    rr.type = dns::RRType::kTXT;
-    rr.klass = dns::RRClass::kCH;
-    rr.ttl = 0;
-    rr.rdata.push_back(static_cast<std::uint8_t>(txt.size()));
-    rr.rdata.insert(rr.rdata.end(), txt.begin(), txt.end());
-    response.answers.push_back(std::move(rr));
-  };
-  if (stats_ok && type_ok) {
-    refresh_gauges();
-    for (const obs::Registry::Sample& s : registry_.export_samples()) {
-      append_txt(s.name + "=" + s.value);
+  if (request.opcode == dns::Opcode::kQuery && request.questions.size() == 1) {
+    const dns::Question& q = request.questions.front();
+    if (q.klass == dns::RRClass::kCH) {
+      frontends_->answer_chaos(
+          client, request, [this] { refresh_gauges(); },
+          [this](const dns::Name& name) -> std::optional<std::string> {
+            // The wire-chaos harness's recovery nudge: the same state
+            // transfer a `--recover` boot schedules, triggered remotely for
+            // a replica that a healed partition left behind. Serving-plane
+            // deployments would gate CH-class traffic at the edge, like
+            // BIND's chaos zone ACLs.
+            static const dns::Name kRecoverName = dns::Name::parse("recover.sdns.");
+            if (!(name.canonical() == kRecoverName)) return std::nullopt;
+            replica_->start_recovery();
+            return "recovering";
+          });
+      return;
     }
-  } else if (recover_ok && type_ok) {
-    // The wire-chaos harness's recovery nudge: the same state transfer a
-    // `--recover` boot schedules, triggered remotely for a replica that a
-    // healed partition left behind. Serving-plane deployments would gate
-    // CH-class traffic at the edge, like BIND's chaos zone ACLs.
-    replica_->start_recovery();
-    append_txt("recovering");
-  } else {
-    response.rcode = dns::Rcode::kRefused;
+    if (!request.qr && (q.type == dns::RRType::kAXFR || q.type == dns::RRType::kIXFR)) {
+      bool used_axfr = false;
+      if (frontends_->answer_xfr(client, request, &replica_->server(), &used_axfr)) {
+        if (q.type == dns::RRType::kAXFR) {
+          registry_.counter("replica.axfr_out").inc();
+        } else {
+          registry_.counter("replica.ixfr_out").inc();
+          if (used_axfr) registry_.counter("replica.ixfr_fallback_axfr").inc();
+        }
+      }
+      return;
+    }
   }
-  route_response(client, response.encode(), std::nullopt);
-  return true;
+  replica_->on_client_request(client, wire);
 }
 
 void ReplicaRuntime::refresh_gauges() {
@@ -525,16 +343,17 @@ void ReplicaRuntime::refresh_gauges() {
       for (int i = 0; i < 8; ++i) {
         seq_bytes[i] = static_cast<std::uint8_t>(it->first >> (8 * i));
       }
-      h = fnv1a(h, seq_bytes, sizeof seq_bytes);
-      h = fnv1a(h, it->second.data(), it->second.size());
+      h = util::fnv1a(seq_bytes, h);
+      h = util::fnv1a(it->second, h);
     }
   }
   registry_.gauge("abcast.digest_floor").set(floor);
+  // Digests export with the top bit cleared so they survive a round trip
+  // through an int64 gauge and a strtoull-based scraper unchanged.
   registry_.gauge("abcast.delivery_digest").set(static_cast<std::int64_t>(h >> 1));
-  const Bytes zone_wire = replica_->server().zone().to_wire();
   registry_.gauge("replica.zone_digest")
       .set(static_cast<std::int64_t>(
-          fnv1a(1469598103934665603ULL, zone_wire.data(), zone_wire.size()) >> 1));
+          util::fnv1a(replica_->server().zone().to_wire()) >> 1));
   // Malformed SIG rdata silently dropped by remove_sigs — must stay zero in
   // a fault-free run (asserted by the chaos and wire-chaos invariants).
   registry_.gauge("dns.zone.malformed_sigs_dropped")
@@ -553,30 +372,7 @@ void ReplicaRuntime::log_stats_line() {
 }
 
 void ReplicaRuntime::start() {
-  // Shard 0 binds first: with listen_dns port 0 (tests) the kernel picks a
-  // port, and every other member of the REUSEPORT group must bind exactly
-  // that number.
-  shards_[0].frontend->start();
-  SockAddr resolved = shards_[0].frontend->bound_addr();
-  resolved.ip = cfg_.listen_dns.ip;
-  for (unsigned k = 1; k < cfg_.shards; ++k) {
-    Shard& shard = shards_[k];
-    shard.loop = std::make_unique<EventLoop>();
-    DnsFrontend::Options fopt = frontend_options(k);
-    fopt.listen = resolved;
-    shard.frontend = std::make_unique<DnsFrontend>(
-        *shard.loop, fopt, [this](ClientId client, BytesView wire) {
-          // Crossing to the main loop: the view dies with this callback, so
-          // the request bytes are copied into the posted closure.
-          loop_.post([this, client, w = Bytes(wire.begin(), wire.end())] {
-            handle_request(client, w);
-          });
-        });
-    // Bind and register on this thread — safe, the shard's loop is not
-    // running yet — then hand the loop to its thread.
-    shard.frontend->start();
-    shard.thread = std::thread([l = shard.loop.get()] { l->run(); });
-  }
+  frontends_->start();
   mesh_->start();
   if (notifier_) notifier_->start();
   if (injector_) {

@@ -15,17 +15,18 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/replica.hpp"
-#include "net/frontend.hpp"
 #include "net/mesh.hpp"
 #include "net/notify.hpp"
+#include "net/serving.hpp"
 #include "store/durable.hpp"
 
 namespace sdns::net {
 
-struct RuntimeConfig {
+/// The client-facing fields (listen_dns, shards, packet cache ...) come from
+/// ServingConfig, shared with sdns_edge.
+struct RuntimeConfig : ServingConfig {
   unsigned id = 0;
   unsigned n = 4;
   unsigned t = 1;
@@ -44,7 +45,6 @@ struct RuntimeConfig {
   std::string zone_share;     ///< threshold::KeyShare for this id
   std::string mesh_secret;    ///< shared link-authentication secret
 
-  SockAddr listen_dns;                ///< UDP + TCP client-facing endpoint
   std::vector<SockAddr> mesh_peers;   ///< index = replica id (incl. self)
 
   /// Durable zone store directory (WAL + signed snapshots). Empty = purely
@@ -60,23 +60,11 @@ struct RuntimeConfig {
   bool recover = false;        ///< run snapshot recovery after boot (§4.3)
   double recover_delay = 1.0;  ///< let mesh links come up first
   double complaint_timeout = 5.0;
-  double idle_timeout = 30.0;
-  std::uint16_t edns_payload = 4096;
-  /// Frontend shards: each gets its own event-loop thread and its own
-  /// SO_REUSEPORT socket pair on listen_dns. 1 = classic single-loop mode
-  /// (no extra threads, no REUSEPORT). Max 16 — the shard field a UDP
-  /// ClientId routes responses by is 4 bits.
-  unsigned shards = 1;
-  bool packet_cache = true;          ///< per-shard response packet cache
-  std::size_t cache_entries = 4096;  ///< per-shard cache capacity
   /// Replication edge: RFC 1996 NOTIFY targets, one `notify = host:port`
   /// config line per edge. Empty = no notifier.
   std::vector<SockAddr> notify_edges;
   /// IXFR journal depth before old serials fall back to AXFR.
   std::size_t journal_limit = 64;
-  /// Per-connection cap on queued AXFR/IXFR output (bytes). Transfer
-  /// streams are exempt from the query write cap; this bounds them instead.
-  std::size_t xfr_max_inflight = 8 * 1024 * 1024;
   std::uint64_t seed = 0;  ///< 0: derive from pid/clock (nonces, jitter)
   /// Log one counter-summary line every this many seconds (0 disables).
   double stats_interval = 0;
@@ -110,17 +98,14 @@ util::Bytes read_file(const std::string& path);
 /// Write a whole file; throws NetError on failure.
 void write_file(const std::string& path, util::BytesView data);
 
-/// One replica process: the protocol stack on the main loop, plus N
-/// frontend shards. Shard 0's frontend lives on the main loop (so shards=1
-/// is exactly the classic single-threaded runtime); shards 1..N-1 each own
-/// an EventLoop on a dedicated thread, with their own SO_REUSEPORT sockets.
-/// The kernel spreads client flows across the shards; cache hits complete
-/// entirely on the shard thread, and only misses cross to the main loop
-/// (EventLoop::post) where the replicated state machine runs unchanged.
+/// One replica process: the protocol stack on the main loop, plus a
+/// FrontendGroup of N shards (net/serving.hpp). The kernel spreads client
+/// flows across the shards; cache hits complete entirely on the shard
+/// thread, and only misses cross to the main loop where the replicated
+/// state machine runs unchanged.
 class ReplicaRuntime {
  public:
   ReplicaRuntime(EventLoop& loop, RuntimeConfig config);
-  ~ReplicaRuntime();
 
   /// Bind sockets (shard 0 first, resolving port 0 for the REUSEPORT
   /// group), start shard threads, connect the mesh, and (if configured)
@@ -129,51 +114,25 @@ class ReplicaRuntime {
 
   core::ReplicaNode& replica() { return *replica_; }
   /// Shard 0's frontend (the main-loop one).
-  DnsFrontend& frontend() { return *shards_.front().frontend; }
-  DnsFrontend& frontend(unsigned shard) { return *shards_.at(shard).frontend; }
-  unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
+  DnsFrontend& frontend(unsigned shard = 0) { return frontends_->frontend(shard); }
+  unsigned shard_count() const { return frontends_->size(); }
   Mesh& mesh() { return *mesh_; }
   const RuntimeConfig& config() const { return cfg_; }
   /// The counters every component of this runtime counts into.
   obs::Registry& registry() { return registry_; }
 
  private:
-  struct Shard {
-    /// Null for shard 0, which shares the runtime's main loop.
-    std::unique_ptr<EventLoop> loop;
-    std::unique_ptr<DnsFrontend> frontend;
-    std::thread thread;
-  };
-
-  /// Answer BIND-style introspection queries (`stats.sdns. CH TXT`) directly
-  /// from the registry, without touching the replicated state machine.
-  /// `recover.sdns. CH TXT` triggers snapshot recovery (the wire-chaos
-  /// harness's remote nudge for replicas that fell behind during a fault).
-  /// Returns true when `wire` was a CHAOS-class query and has been answered.
-  bool maybe_answer_stats(ClientId client, util::BytesView wire);
-  /// Serve AXFR/IXFR (RFC 5936 / RFC 1995) straight from the replica's
-  /// authoritative server, bypassing atomic broadcast — a transfer reads the
-  /// committed zone plus journal, both of which only the main loop mutates.
-  /// UDP transfer queries get a truncated stub pushing the client to TCP.
-  /// Returns true when `wire` was a transfer query and has been handled.
-  bool maybe_answer_xfr(ClientId client, util::BytesView wire);
-  /// Deliver a multi-message transfer stream to the shard owning `client`.
-  void route_xfr(ClientId client, std::vector<util::Bytes> wires);
   void log_stats_line();
   /// Protocol-state gauges (abcast cursor, delivery-log digest, zone
   /// digest, recovering flag) are snapshotted into the registry just before
   /// each export — they are derived state, not hot-path counters.
   void refresh_gauges();
-  DnsFrontend::Options frontend_options(unsigned shard);
-  /// Runs on the main loop: serve stats or feed the replica. `wire` must
-  /// stay valid for the duration of the call only.
+  /// Runs on the main loop. CHAOS-class queries (`stats.sdns.`, and the
+  /// `recover.sdns.` recovery nudge) and AXFR/IXFR are answered locally,
+  /// bypassing atomic broadcast — a transfer reads the committed zone plus
+  /// journal, both of which only the main loop mutates. Everything else
+  /// feeds the replica. `wire` stays valid for the duration of the call only.
   void handle_request(ClientId client, util::BytesView wire);
-  /// Deliver a response to the shard whose loop owns the client — both UDP
-  /// and TCP ClientIds carry their originating shard, so even responses
-  /// produced asynchronously (abcast-disseminated reads, update
-  /// completions) reach the shard holding the pending cache-store context.
-  void route_response(ClientId client, util::Bytes wire,
-                      std::optional<std::uint64_t> generation);
 
   EventLoop& loop_;
   RuntimeConfig cfg_;
@@ -185,10 +144,12 @@ class ReplicaRuntime {
   /// replica_, which appends to it from the delivery callback.
   std::unique_ptr<store::DurableZoneStore> store_;
   std::unique_ptr<core::ReplicaNode> replica_;
-  std::vector<Shard> shards_;
   std::unique_ptr<Mesh> mesh_;
   /// RFC 1996 NOTIFY fan-out; null unless notify_edges is configured.
   std::unique_ptr<Notifier> notifier_;
+  /// Declared last so it is destroyed first: its shard threads are joined
+  /// before the registry, the replica and its generation counter go away.
+  std::unique_ptr<FrontendGroup> frontends_;
 };
 
 }  // namespace sdns::net

@@ -39,23 +39,14 @@ StubResolver make_resolver(const ClusterFiles& files, unsigned id,
   return StubResolver(opt);
 }
 
-/// Scrape one replica's stats.sdns. CH TXT into name=value pairs; empty on
-/// failure (the caller decides whether unreachable is a violation yet).
-std::map<std::string, std::uint64_t> scrape_stats(const ClusterFiles& files,
-                                                  unsigned id) {
-  StubResolver r = make_resolver(files, id, /*timeout=*/0.8, /*attempts=*/2);
-  const auto res = r.query(dns::Name::parse("stats.sdns."), dns::RRType::kTXT,
-                           dns::RRClass::kCH);
+/// One replica's stats.sdns. counters as integers; empty on failure (the
+/// caller decides whether unreachable is a violation yet).
+std::map<std::string, std::uint64_t> scrape_counters(const ClusterFiles& files,
+                                                     unsigned id) {
   std::map<std::string, std::uint64_t> out;
-  if (!res.ok) return out;
-  for (const auto& rr : res.response.answers) {
-    if (rr.rdata.empty()) continue;
-    const std::size_t len =
-        std::min<std::size_t>(rr.rdata[0], rr.rdata.size() - 1);
-    const std::string txt(rr.rdata.begin() + 1, rr.rdata.begin() + 1 + len);
-    const auto eq = txt.find('=');
-    if (eq == std::string::npos) continue;
-    out[txt.substr(0, eq)] = std::strtoull(txt.c_str() + eq + 1, nullptr, 10);
+  for (const auto& [name, value] :
+       scrape_stats(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/2)) {
+    out[name] = std::strtoull(value.c_str(), nullptr, 10);
   }
   return out;
 }
@@ -347,7 +338,7 @@ core::ChaosReport run_wire_chaos(const WireCluster& cluster,
     stats.clear();
     bool complete = true;
     for (const unsigned id : honest) {
-      auto s = scrape_stats(files, id);
+      auto s = scrape_counters(files, id);
       if (s.empty()) complete = false;
       stats[id] = std::move(s);
     }
@@ -433,7 +424,7 @@ core::ChaosReport run_wire_chaos(const WireCluster& cluster,
     stats.clear();
     for (const unsigned id : honest) {
       for (int attempt = 0; attempt < 3 && stats[id].empty(); ++attempt) {
-        stats[id] = scrape_stats(files, id);
+        stats[id] = scrape_counters(files, id);
       }
       if (stats[id].empty()) {
         out.push_back(

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "dns/dnssec.hpp"
 #include "util/fileio.hpp"
 #include "util/log.hpp"
 
@@ -24,15 +25,6 @@ constexpr char kSnapMagic[8] = {'S', 'D', 'N', 'S', 'S', 'N', 'A', 'P'};
 // by a pre-SDNSZONE2 build still restores after an upgrade.
 constexpr std::uint8_t kSnapVersion = 2;
 constexpr std::uint8_t kSnapVersionMin = 1;
-
-std::uint64_t fnv1a(BytesView data) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::uint64_t now_us() {
   timespec ts{};
@@ -93,7 +85,7 @@ DurableZoneStore::DurableZoneStore(Options options) : opt_(std::move(options)) {
       }
       const BytesView body(raw.data(), raw.size() - 8);
       util::Reader sum_r(BytesView(raw).subspan(raw.size() - 8));
-      if (fnv1a(body) != sum_r.u64()) throw util::ParseError("snapshot checksum");
+      if (util::fnv1a(body) != sum_r.u64()) throw util::ParseError("snapshot checksum");
       util::Reader r(body.subspan(sizeof kSnapMagic));
       const std::uint8_t version = r.u8();
       if (version < kSnapVersionMin || version > kSnapVersion) {
@@ -192,7 +184,7 @@ void DurableZoneStore::write_snapshot(const ZoneState& state) {
   w.u64(state.update_counter);
   w.u64(state.zone_generation);
   w.lp32(state.zone_wire);
-  const std::uint64_t sum = fnv1a(w.bytes());
+  const std::uint64_t sum = util::fnv1a(w.bytes());
   w.u64(sum);
   const Bytes blob = std::move(w).take();
 
@@ -219,6 +211,21 @@ void DurableZoneStore::write_snapshot(const ZoneState& state) {
   c_snapshot_bytes_->inc(blob.size());
   SDNS_LOG_INFO("store ", opt_.dir, ": snapshot@", state.abcast_cursor, " (",
                 blob.size(), " bytes), log compacted");
+}
+
+std::function<bool(ZoneState&)> make_zone_verifier(
+    std::optional<crypto::RsaPublicKey> trusted, unsigned parse_threads) {
+  return [trusted = std::move(trusted), parse_threads](ZoneState& s) {
+    try {
+      auto zone = std::make_shared<dns::Zone>(
+          dns::Zone::from_wire(s.zone_wire, parse_threads));
+      if (trusted && !dns::verify_zone(*zone, *trusted).ok) return false;
+      s.verified_zone = std::move(zone);
+      return true;
+    } catch (const util::ParseError&) {
+      return false;
+    }
+  };
 }
 
 }  // namespace sdns::store

@@ -28,11 +28,20 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "crypto/rsa.hpp"
 #include "store/wal.hpp"
 
 namespace sdns::store {
+
+/// The snapshot verifier a replica installs as Options::verify: parse the
+/// embedded zone (on `parse_threads` workers), require it to verify under
+/// the dealt zone key `trusted` — skipped when nullopt, for unsigned zones —
+/// and stash the parse in ZoneState::verified_zone for recovery to install.
+std::function<bool(ZoneState&)> make_zone_verifier(
+    std::optional<crypto::RsaPublicKey> trusted, unsigned parse_threads = 0);
 
 class DurableZoneStore final : public ZoneStoreIf {
  public:
@@ -44,10 +53,10 @@ class DurableZoneStore final : public ZoneStoreIf {
     std::uint64_t snapshot_log_bytes = 4ull << 20;
     /// Snapshot admission: a checksum-valid snapshot is handed here before
     /// being trusted; return false to reject it (counted, and recovery
-    /// proceeds as if no snapshot existed). The deployment verifies the
-    /// threshold signatures over the embedded zone. The state is mutable so
-    /// the verifier can stash the zone it parsed in ZoneState::verified_zone
-    /// for recovery to reuse. Null accepts all.
+    /// proceeds as if no snapshot existed). The deployment installs
+    /// make_zone_verifier. The state is mutable so the verifier can stash
+    /// the zone it parsed in ZoneState::verified_zone for recovery to reuse.
+    /// Null accepts all.
     std::function<bool(ZoneState&)> verify;
     /// An fsync/write failure aborts the process (default): a store that
     /// cannot make acknowledged updates durable must not keep serving.

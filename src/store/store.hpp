@@ -25,13 +25,17 @@
 // state transfer when the disk is behind the cluster.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "util/bytes.hpp"
+
+namespace sdns::dns {
+class Zone;
+}
 
 namespace sdns::store {
 
@@ -44,11 +48,10 @@ struct ZoneState {
   std::uint64_t update_counter = 0;   ///< deterministic-inception counter
   std::uint64_t zone_generation = 1;  ///< packet-cache invalidation stamp
   util::Bytes zone_wire;              ///< dns::Zone::to_wire (signed zone)
-  /// Verifier stash, opaque to the store layer: the snapshot verifier had
-  /// to parse zone_wire anyway, so it may park the result here (as a
-  /// std::shared_ptr<dns::Zone>) and recovery installs it without paying a
+  /// Verifier stash: the snapshot verifier had to parse zone_wire anyway,
+  /// so it parks the result here and recovery installs it without paying a
   /// second full parse — at 1M RRsets that second parse dominates restart.
-  std::any verified_zone;
+  std::shared_ptr<dns::Zone> verified_zone;
 };
 
 /// One recovered WAL record. `mark` records carry no payload: they advance

@@ -19,15 +19,6 @@ constexpr std::size_t kRecordHeader = 4 + 8;  // u32 len + u64 checksum
 /// Body-size sanity bound: an abcast payload is at most a few update
 /// messages; anything past this is corruption, not data.
 constexpr std::uint32_t kMaxBody = 1u << 26;
-
-std::uint64_t fnv1a(BytesView data) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 }  // namespace
 
 Wal::Wal(std::string path, obs::Registry* metrics) : path_(std::move(path)) {
@@ -68,7 +59,7 @@ Wal::Wal(std::string path, obs::Registry* metrics) : path_(std::move(path)) {
     if (len < 9 || len > kMaxBody) break;
     if (pos + kRecordHeader + len > raw.size()) break;  // torn body
     const BytesView body = BytesView(raw).subspan(pos + kRecordHeader, len);
-    if (fnv1a(body) != sum) break;
+    if (util::fnv1a(body) != sum) break;
     try {
       util::Reader r(body);
       WalRecord rec;
@@ -106,7 +97,7 @@ void Wal::append(const WalRecord& rec) {
   const Bytes b = std::move(body).take();
   util::Writer frame(kRecordHeader + b.size());
   frame.u32(static_cast<std::uint32_t>(b.size()));
-  frame.u64(fnv1a(b));
+  frame.u64(util::fnv1a(b));
   frame.raw(b);
   const Bytes f = std::move(frame).take();
   util::write_all(fd_, f);

@@ -152,32 +152,12 @@ void SigningSession::handle_share(SignatureShare share) {
   if (share.index < 1 || share.index > pk_.n) return;
   switch (protocol_) {
     case SigProtocol::kBasic:
-      if (valid_shares_.count(share.index) || rejected_indices_.count(share.index)) return;
-      if (!share.has_proof) return;
-      if (cb_.charge) cb_.charge(CryptoOp::kProofVerify);
-      if (verify_share(*ctx_, x_, share)) {
-        c_verify_ok_->inc();
-        valid_shares_.emplace(share.index, std::move(share));
-        check_basic_progress();
-      } else {
-        c_verify_fail_->inc();
-        rejected_indices_.insert(share.index);
-      }
+      handle_proof_share(std::move(share));
       break;
     case SigProtocol::kOptProof:
       if (proof_mode_) {
         // Fallback: behave like BASIC for proof-carrying shares.
-        if (valid_shares_.count(share.index) || rejected_indices_.count(share.index)) return;
-        if (!share.has_proof) return;
-        if (cb_.charge) cb_.charge(CryptoOp::kProofVerify);
-        if (verify_share(*ctx_, x_, share)) {
-          c_verify_ok_->inc();
-          valid_shares_.emplace(share.index, std::move(share));
-          check_basic_progress();
-        } else {
-          c_verify_fail_->inc();
-          rejected_indices_.insert(share.index);
-        }
+        handle_proof_share(std::move(share));
       } else {
         if (plain_shares_.count(share.index)) return;
         arrival_order_.push_back(share.index);
@@ -192,6 +172,20 @@ void SigningSession::handle_share(SignatureShare share) {
       plain_shares_.emplace(share.index, std::move(share));
       try_assemble_subsets();
       break;
+  }
+}
+
+void SigningSession::handle_proof_share(SignatureShare share) {
+  if (valid_shares_.count(share.index) || rejected_indices_.count(share.index)) return;
+  if (!share.has_proof) return;
+  if (cb_.charge) cb_.charge(CryptoOp::kProofVerify);
+  if (verify_share(*ctx_, x_, share)) {
+    c_verify_ok_->inc();
+    valid_shares_.emplace(share.index, std::move(share));
+    check_basic_progress();
+  } else {
+    c_verify_fail_->inc();
+    rejected_indices_.insert(share.index);
   }
 }
 

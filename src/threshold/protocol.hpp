@@ -119,6 +119,8 @@ class SigningSession {
 
   void broadcast_share(bool with_proof);
   void handle_share(SignatureShare share);
+  /// BASIC (and OPTPROOF's fallback): verify a proof-carrying share once.
+  void handle_proof_share(SignatureShare share);
   void handle_proof_request();
   void handle_final(const bn::BigInt& y);
   void try_assemble_optimistic();

@@ -25,6 +25,15 @@ class ParseError : public std::runtime_error {
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// 64-bit FNV-1a over `data`, continuing from `h` so several runs chain.
+inline std::uint64_t fnv1a(BytesView data, std::uint64_t h = 1469598103934665603ULL) {
+  for (const std::uint8_t b : data) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Append-only big-endian serializer.
 class Writer {
  public:

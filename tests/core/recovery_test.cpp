@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/service.hpp"
+#include "crypto/rsa.hpp"
 #include "dns/dnssec.hpp"
+#include "util/bytes.hpp"
 
 namespace sdns::core {
 namespace {
@@ -96,6 +98,56 @@ TEST(Recovery, CorruptSnapshotIsRejectedBySignatureCheck) {
   EXPECT_NE(svc.replica(3).server().zone().find(Name::parse("x.rec.example."),
                                                 RRType::kA),
             nullptr);
+}
+
+TEST(Recovery, SnapshotSignedUnderForgedKeyIsRejected) {
+  // A Byzantine peer answers a recovery request with a zone it signed under
+  // a key of its own making, claiming a cursor far ahead of the cluster.
+  // The zone verifies against its own apex KEY; only pinning the dealt zone
+  // key keeps the recovering replica from adopting it as the freshest.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  ReplicatedService svc(opt, kOrigin, kZoneText);
+  partition_replica(svc, 3, true);
+  ASSERT_TRUE(svc.add_record(Name::parse("honest.rec.example."), "10.0.0.1").ok);
+  svc.settle();
+  // Replica 0 stays cut off from 3, so its honest snapshot can never
+  // overwrite the forged one it "sends" below.
+  svc.net().set_partitioned(3, 1, false);
+  svc.net().set_partitioned(3, 2, false);
+
+  dns::Zone forged = dns::Zone::from_text(kOrigin, kZoneText);
+  dns::ResourceRecord rogue;
+  rogue.name = Name::parse("rogue.rec.example.");
+  rogue.type = RRType::kA;
+  rogue.ttl = 300;
+  rogue.rdata = dns::ARdata::from_text("192.0.2.66").encode();
+  forged.add_record(rogue);
+  util::Rng rng(99);
+  const crypto::RsaPrivateKey forger = crypto::rsa_generate(rng, 512);
+  dns::sign_zone(forged, forger.pub, 999'000, 999'000 + 365 * 24 * 3600,
+                 [&](util::BytesView data) { return crypto::rsa_sign_sha1(forger, data); });
+  ASSERT_TRUE(dns::verify_zone(forged).ok);
+  ASSERT_FALSE(dns::verify_zone(forged, svc.zone_public_key()).ok);
+
+  svc.replica(3).start_recovery();
+  const std::uint64_t cursor = svc.replica(0).abcast().delivered_count() + 1000;
+  util::Writer frame;
+  frame.u8(0x04);  // snapshot frame: cursor, deliveries, update counter, zone
+  frame.u64(cursor);
+  frame.u64(cursor);
+  frame.u64(cursor);
+  frame.lp32(forged.to_wire());
+  svc.replica(3).on_replica_message(0, std::move(frame).take());
+  svc.settle();
+
+  EXPECT_FALSE(svc.replica(3).recovering());
+  const dns::Zone& zone = svc.replica(3).server().zone();
+  EXPECT_FALSE(zone.name_exists(Name::parse("rogue.rec.example.")));
+  EXPECT_TRUE(zone.name_exists(Name::parse("honest.rec.example.")));
+  EXPECT_EQ(zone.to_text(), svc.replica(1).server().zone().to_text());
+  const auto verify = dns::verify_zone(zone, svc.zone_public_key());
+  EXPECT_TRUE(verify.ok) << verify.first_error;
 }
 
 TEST(Recovery, NoopWhenBaseCase) {

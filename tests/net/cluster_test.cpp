@@ -204,25 +204,13 @@ class ClusterTest : public ::testing::Test {
     return r.send_update(std::move(update), &tsig_key_);
   }
 
-  /// Scrape live counters over the wire: stats.sdns. CH TXT, one
-  /// `name=value` character-string per answer RR. Works against replicas
-  /// and edges alike.
+  /// Live counters over the wire (stats.sdns. CH TXT) as integers. Works
+  /// against replicas and edges alike.
   static std::map<std::string, std::uint64_t> scrape_stats_at(const SockAddr& addr) {
-    StubResolver r = resolver_at(addr, /*timeout=*/1.0, /*attempts=*/3);
-    const auto res = r.query(dns::Name::parse("stats.sdns."),
-                             dns::RRType::kTXT, dns::RRClass::kCH);
     std::map<std::string, std::uint64_t> out;
-    if (!res.ok) return out;
-    for (const auto& rr : res.response.answers) {
-      if (rr.rdata.empty()) continue;
-      const std::size_t len =
-          std::min<std::size_t>(rr.rdata[0], rr.rdata.size() - 1);
-      const std::string txt(rr.rdata.begin() + 1, rr.rdata.begin() + 1 + len);
-      const auto eq = txt.find('=');
-      if (eq == std::string::npos) continue;
+    for (const auto& [name, value] : net::scrape_stats(addr)) {
       // Histogram exports are decimal floats; strtoull keeps the integer part.
-      out[txt.substr(0, eq)] =
-          std::strtoull(txt.c_str() + eq + 1, nullptr, 10);
+      out[name] = std::strtoull(value.c_str(), nullptr, 10);
     }
     return out;
   }

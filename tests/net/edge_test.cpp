@@ -9,6 +9,8 @@
 //   - fail closed (ServFail, no install) while unbootstrapped,
 //   - ack a NOTIFY and pull the new serial via a genuine IXFR diff,
 //   - refuse a tampered zone and a zone signed under the wrong key.
+// The bootstrap test runs with one and with two frontend shards, and a last
+// test pits the CH introspection of a real ReplicaRuntime against an edge's.
 //
 // The loop runs on the test's main thread; a client thread speaks blocking
 // sockets against the edge and stops the loop when done (frontend_test's
@@ -27,6 +29,7 @@
 #include "dns/dnssec.hpp"
 #include "dns/server.hpp"
 #include "dns/xfr.hpp"
+#include "net/cluster.hpp"
 #include "net/notify.hpp"
 #include "net/resolver.hpp"
 #include "net/runtime.hpp"
@@ -203,15 +206,24 @@ class EdgeTest : public ::testing::Test {
   dns::Name origin_ = dns::Name::parse("example.com.");
 };
 
-TEST_F(EdgeTest, AxfrBootstrapVerifiesServesAndRefeeds) {
+/// The bootstrap round trip with one frontend shard and with two, where
+/// queries and transfer connections may land on a shard thread and cross to
+/// the main loop and back.
+class EdgeShardsTest : public EdgeTest,
+                       public ::testing::WithParamInterface<unsigned> {};
+
+TEST_P(EdgeShardsTest, AxfrBootstrapVerifiesServesAndRefeeds) {
   const threshold::DealtKey dealt = deal(7);
   auto core_server = std::make_unique<dns::AuthoritativeServer>(signed_zone(dealt, 7));
   const std::size_t core_records = core_server->zone().record_count();
   std::unique_ptr<DnsFrontend> core_frontend;
   const SockAddr core_addr = start_core(core_server.get(), &core_frontend);
 
-  EdgeRuntime edge(loop_, edge_config(write_zone_public(dealt), core_addr));
+  EdgeConfig cfg = edge_config(write_zone_public(dealt), core_addr);
+  cfg.shards = GetParam();
+  EdgeRuntime edge(loop_, cfg);
   edge.start();
+  ASSERT_EQ(edge.shard_count(), GetParam());
   const SockAddr edge_addr = edge.frontend().bound_addr();
 
   run_with_client([&] {
@@ -246,6 +258,9 @@ TEST_F(EdgeTest, AxfrBootstrapVerifiesServesAndRefeeds) {
     EXPECT_TRUE(dns::verify_zone(copy).ok);
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, EdgeShardsTest, ::testing::Values(1u, 2u),
+                         ::testing::PrintToStringParamName());
 
 TEST_F(EdgeTest, FailsClosedBeforeBootstrap) {
   const threshold::DealtKey dealt = deal(11);
@@ -395,6 +410,58 @@ TEST_F(EdgeTest, ZoneSignedUnderWrongKeyIsRejected) {
     }));
     EXPECT_FALSE(edge.ready());
     EXPECT_EQ(edge.registry().counter("edge.axfr_bootstraps").value(), 0u);
+  });
+}
+
+TEST_F(EdgeTest, ChaosClassIsAnsweredLocallyByReplicaAndEdge) {
+  // A real ReplicaRuntime (dealt by generate_cluster, its peers absent) and
+  // an edge bootstrapping from it, both with two frontend shards. Both hosts
+  // answer stats.sdns. and refuse unknown CH names; only the replica takes
+  // the recover.sdns. nudge.
+  ClusterOptions copt;
+  copt.edges = 1;
+  copt.seed = 29;
+  const ClusterFiles files = generate_cluster(dir_, copt);
+
+  RuntimeConfig rc = RuntimeConfig::load(files.configs[0]);
+  rc.listen_dns = SockAddr::parse("127.0.0.1:0");
+  rc.mesh_peers.assign(rc.n, SockAddr::parse("127.0.0.1:1"));  // unreachable
+  rc.mesh_peers[rc.id] = SockAddr::parse("127.0.0.1:0");
+  rc.notify_edges.clear();
+  rc.shards = 2;
+  ReplicaRuntime replica(loop_, rc);
+  replica.start();
+  const SockAddr replica_addr = replica.frontend().bound_addr();
+
+  EdgeConfig ec = EdgeConfig::load(files.edge_configs[0]);
+  ec.listen_dns = SockAddr::parse("127.0.0.1:0");
+  ec.core = {replica_addr};
+  ec.retry_interval = 0.05;
+  ec.shards = 2;
+  EdgeRuntime edge(loop_, ec);
+  edge.start();
+  const SockAddr edge_addr = edge.frontend().bound_addr();
+
+  run_with_client([&] {
+    // The bootstrap AXFR streams out of the replica's shared XFR-out path.
+    ASSERT_TRUE(wait_for([&] { return edge.ready(); })) << "edge never bootstrapped";
+    const auto ch_rcode = [](SockAddr addr, const char* name) {
+      StubResolver r = resolver_for(addr);
+      const auto res =
+          r.query(dns::Name::parse(name), dns::RRType::kTXT, dns::RRClass::kCH);
+      EXPECT_TRUE(res.ok) << name << ": " << res.error;
+      return res.response.rcode;
+    };
+    for (const bool is_replica : {true, false}) {
+      SCOPED_TRACE(is_replica ? "replica" : "edge");
+      const SockAddr addr = is_replica ? replica_addr : edge_addr;
+      const auto stats = scrape_stats(addr);
+      EXPECT_EQ(stats.count("net.udp.queries"), 1u);
+      EXPECT_EQ(stats.count(is_replica ? "replica.reads" : "edge.axfr_bootstraps"), 1u);
+      EXPECT_EQ(ch_rcode(addr, "unknown.sdns."), dns::Rcode::kRefused);
+      EXPECT_EQ(ch_rcode(addr, "recover.sdns."),
+                is_replica ? dns::Rcode::kNoError : dns::Rcode::kRefused);
+    }
   });
 }
 

@@ -126,22 +126,13 @@ StubResolver durable_resolver(const ClusterFiles& files, unsigned id,
   return StubResolver(opt);
 }
 
-/// stats.sdns. CH TXT scrape into name=value pairs; empty map on failure.
+/// stats.sdns. CH TXT counters as integers; empty map on failure.
 std::map<std::string, std::uint64_t> durable_scrape(const ClusterFiles& files,
                                                     unsigned id) {
-  StubResolver r = durable_resolver(files, id, /*timeout=*/0.8, /*attempts=*/2);
-  const auto res = r.query(dns::Name::parse("stats.sdns."), dns::RRType::kTXT,
-                           dns::RRClass::kCH);
   std::map<std::string, std::uint64_t> out;
-  if (!res.ok) return out;
-  for (const auto& rr : res.response.answers) {
-    if (rr.rdata.empty()) continue;
-    const std::size_t len =
-        std::min<std::size_t>(rr.rdata[0], rr.rdata.size() - 1);
-    const std::string txt(rr.rdata.begin() + 1, rr.rdata.begin() + 1 + len);
-    const auto eq = txt.find('=');
-    if (eq == std::string::npos) continue;
-    out[txt.substr(0, eq)] = std::strtoull(txt.c_str() + eq + 1, nullptr, 10);
+  for (const auto& [name, value] :
+       scrape_stats(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/2)) {
+    out[name] = std::strtoull(value.c_str(), nullptr, 10);
   }
   return out;
 }
