@@ -39,9 +39,15 @@ struct Fleet {
           net.cpu(i).enqueue(sim.now(), fn);
         });
       };
-      cb.charge_message = [this, i, cost] { net.cpu(i).charge(cost.message_handle); };
-      cb.charge_auth_sign = [this, i, cost] { net.cpu(i).charge(cost.auth_sign); };
-      cb.charge_auth_verify = [this, i, cost] { net.cpu(i).charge(cost.auth_verify); };
+      // Only the broadcast's own message and authenticator work is charged;
+      // the fall-back row has never included the common coin's threshold
+      // crypto, and charging it would move that row.
+      cb.charge = [this, i, cost](threshold::CostEvent e) {
+        using E = threshold::CostEvent;
+        if (e == E::kMessage || e == E::kAuthSign || e == E::kAuthVerify) {
+          net.cpu(i).charge(cost.cost(e));
+        }
+      };
       abcast::AtomicBroadcast::Options opt;
       opt.complaint_timeout = timeout;
       nodes.push_back(std::make_unique<abcast::AtomicBroadcast>(

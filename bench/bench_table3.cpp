@@ -39,7 +39,7 @@ int main() {
   const bn::BigInt x =
       threshold::hash_to_element(key.pub, util::to_bytes("www.corp.example. A"));
 
-  int counts[8] = {};
+  int counts[threshold::kCostEventCount] = {};
   std::deque<std::pair<unsigned, util::Bytes>> queue;
   std::vector<std::unique_ptr<threshold::SigningSession>> sessions;
   for (unsigned i = 1; i <= 4; ++i) {
@@ -50,7 +50,7 @@ int main() {
       }
     };
     if (i == 1) {  // the gateway
-      cb.charge = [&counts](threshold::CryptoOp op) { ++counts[static_cast<int>(op)]; };
+      cb.charge = [&counts](threshold::CostEvent op) { ++counts[static_cast<int>(op)]; };
     }
     sessions.push_back(std::make_unique<threshold::SigningSession>(
         key.pub, key.shares[i - 1], threshold::SigProtocol::kBasic, 1, x, std::move(cb),
@@ -68,16 +68,16 @@ int main() {
     const char* label;
     double seconds;
   };
-  const double gen = counts[static_cast<int>(threshold::CryptoOp::kShareValue)] *
+  const double gen = counts[static_cast<int>(threshold::CostEvent::kShareValue)] *
                          model.share_value +
-                     counts[static_cast<int>(threshold::CryptoOp::kProofGen)] *
+                     counts[static_cast<int>(threshold::CostEvent::kProofGen)] *
                          model.proof_gen;
-  const double verify = counts[static_cast<int>(threshold::CryptoOp::kProofVerify)] *
+  const double verify = counts[static_cast<int>(threshold::CostEvent::kProofVerify)] *
                         model.proof_verify;
   const double assemble =
-      counts[static_cast<int>(threshold::CryptoOp::kAssemble)] * model.assemble;
+      counts[static_cast<int>(threshold::CostEvent::kAssemble)] * model.assemble;
   const double final_verify =
-      counts[static_cast<int>(threshold::CryptoOp::kFinalVerify)] * model.final_verify;
+      counts[static_cast<int>(threshold::CostEvent::kFinalVerify)] * model.final_verify;
   const double total = gen + verify + assemble + final_verify;
   const Row rows[] = {{"generate share", gen},
                       {"verify share", verify},

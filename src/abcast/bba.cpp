@@ -69,7 +69,7 @@ void BinaryAgreement::on_message(unsigned from, BytesView msg) {
     const std::uint32_t round = reader.u32();
     const bool bit = reader.u8() != 0;
     reader.expect_done();
-    if (cb_.charge_message) cb_.charge_message();
+    if (cb_.charge) cb_.charge(threshold::CostEvent::kMessage);
     if (round > kMaxRounds) return;
 
     switch (type) {

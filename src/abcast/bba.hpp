@@ -32,7 +32,7 @@ class BinaryAgreement {
     /// Fires exactly once with the decided bit.
     std::function<void(bool)> on_decide;
     /// Per-message processing cost hook; may be empty.
-    std::function<void()> charge_message;
+    std::function<void(threshold::CostEvent)> charge;
   };
 
   BinaryAgreement(std::shared_ptr<const GroupPublic> pub, unsigned my_id,

@@ -97,9 +97,7 @@ AtomicBroadcast::AtomicBroadcast(std::shared_ptr<const GroupPublic> pub, NodeSec
       coin_(pub_, secret_,
             ThresholdCoin::Callbacks{
                 [this](const Bytes& m) { broadcast(m); },
-                [this](threshold::CryptoOp op) {
-                  if (cb_.charge_coin) cb_.charge_coin(op);
-                },
+                cb_.charge,
                 [this] { c_coin_flips_->inc(); }},
             rng_.fork()) {
   obs::Registry* m = cb_.metrics;
@@ -220,7 +218,7 @@ void AtomicBroadcast::maybe_echo(unsigned epoch, std::uint64_t seq) {
     return;
   }
   sl.echo_sent = true;
-  if (cb_.charge_auth_sign) cb_.charge_auth_sign();
+  charge(threshold::CostEvent::kAuthSign);
   Bytes sig = node_sign(secret_, echo_statement(epoch, seq, *sl.digest));
   sl.echoes[secret_.id] = {*sl.digest, sig};
   Writer w;
@@ -235,7 +233,7 @@ void AtomicBroadcast::maybe_echo(unsigned epoch, std::uint64_t seq) {
 
 void AtomicBroadcast::on_message(unsigned from, BytesView msg) {
   if (msg.empty() || from >= pub_->n) return;
-  if (cb_.charge_message) cb_.charge_message();
+  charge(threshold::CostEvent::kMessage);
   if (ThresholdCoin::is_coin_message(msg)) {
     coin_.on_message(msg);
     return;
@@ -304,7 +302,7 @@ void AtomicBroadcast::handle_echo(unsigned from, Reader& r) {
   const Bytes sig = r.lp16();
   Slot& sl = slot(epoch, seq);
   if (sl.echoes.count(from)) return;
-  if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+  charge(threshold::CostEvent::kAuthVerify);
   if (!node_verify(*pub_, from, echo_statement(epoch, seq, d), sig)) return;
   sl.echoes[from] = {d, sig};
   check_prepared(epoch, seq);
@@ -327,7 +325,7 @@ void AtomicBroadcast::check_prepared(unsigned epoch, std::uint64_t seq) {
       prepared_certs_[seq] = cert;
     }
     sl.commit_sent = true;
-    if (cb_.charge_auth_sign) cb_.charge_auth_sign();
+    charge(threshold::CostEvent::kAuthSign);
     Bytes sig = node_sign(secret_, commit_statement(epoch, seq, d));
     sl.commits[secret_.id] = {d, sig};
     Writer w;
@@ -349,7 +347,7 @@ void AtomicBroadcast::handle_commit(unsigned from, Reader& r) {
   const Bytes sig = r.lp16();
   Slot& sl = slot(epoch, seq);
   if (sl.commits.count(from)) return;
-  if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+  charge(threshold::CostEvent::kAuthVerify);
   if (!node_verify(*pub_, from, commit_statement(epoch, seq, d), sig)) return;
   sl.commits[from] = {d, sig};
   check_committed_quorum(epoch, seq);
@@ -419,7 +417,7 @@ void AtomicBroadcast::handle_committed(unsigned, Reader& r) {
     const unsigned node = r.u32();
     Bytes sig = r.lp16();
     if (!seen.insert(node).second) continue;
-    if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+    charge(threshold::CostEvent::kAuthVerify);
     if (!node_verify(*pub_, node, statement, sig)) continue;
     sigs.push_back({node, std::move(sig)});
   }
@@ -523,7 +521,7 @@ void AtomicBroadcast::on_timer() {
     const unsigned target = vote_epoch();
     complained_ = true;
     c_complaints_->inc();
-    if (cb_.charge_auth_sign) cb_.charge_auth_sign();
+    charge(threshold::CostEvent::kAuthSign);
     Bytes sig = node_sign(secret_, complain_statement(target, attempt_));
     complaints_[{target, attempt_}][secret_.id] = sig;
     Writer w;
@@ -562,7 +560,7 @@ void AtomicBroadcast::handle_complain(unsigned from, Reader& r) {
   const Bytes sig = r.lp16();
   auto& set = complaints_[{epoch, attempt}];
   if (set.count(from)) return;
-  if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+  charge(threshold::CostEvent::kAuthVerify);
   if (!node_verify(*pub_, from, complain_statement(epoch, attempt), sig)) return;
   set[from] = sig;
   if (epoch != vote_epoch()) return;
@@ -581,7 +579,7 @@ void AtomicBroadcast::handle_complain(unsigned from, Reader& r) {
     // Join the complaint: at least one honest node is stuck.
     complained_ = true;
     c_complaints_->inc();
-    if (cb_.charge_auth_sign) cb_.charge_auth_sign();
+    charge(threshold::CostEvent::kAuthSign);
     Bytes my_sig = node_sign(secret_, complain_statement(epoch, attempt_));
     set[secret_.id] = my_sig;
     Writer w;
@@ -607,9 +605,7 @@ void AtomicBroadcast::start_fallback_vote(bool my_input) {
         BinaryAgreement::Callbacks{
             [this](const Bytes& m) { broadcast(m); },
             [this, instance](bool abandon) { on_fallback_decision(instance, abandon); },
-            [this] {
-              if (cb_.charge_message) cb_.charge_message();
-            }});
+            cb_.charge});
     it = bbas_.emplace(instance, std::move(session)).first;
   }
   if (!it->second->started()) it->second->start(my_input);
@@ -667,7 +663,7 @@ void AtomicBroadcast::begin_epoch_change(unsigned new_epoch) {
                                 "epoch-change", new_epoch, next_deliver_);
   }
   const Bytes body = build_epoch_change_body();
-  if (cb_.charge_auth_sign) cb_.charge_auth_sign();
+  charge(threshold::CostEvent::kAuthSign);
   const Bytes sig = node_sign(secret_, body);
   Writer w;
   w.u8(kEpochChange);
@@ -689,7 +685,7 @@ void AtomicBroadcast::handle_epoch_change(unsigned from, BytesView whole, Reader
   if (sender != from || new_epoch <= epoch_) return;
   auto& msgs = epoch_change_msgs_[new_epoch];
   if (msgs.count(from)) return;
-  if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+  charge(threshold::CostEvent::kAuthVerify);
   if (!node_verify(*pub_, from, body, sig)) return;
   // Sanity: the body must name the same target epoch.
   try {
@@ -761,7 +757,7 @@ bool AtomicBroadcast::adopt_new_epoch(unsigned target,
       const Bytes body = r.lp32();
       const Bytes sig = r.lp16();
       if (!senders.insert(sender).second) return false;
-      if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+      charge(threshold::CostEvent::kAuthVerify);
       if (!node_verify(*pub_, sender, body, sig)) return false;
       Reader br(body);
       Parsed p;
@@ -799,7 +795,7 @@ bool AtomicBroadcast::adopt_new_epoch(unsigned target,
     std::size_t valid = 0;
     for (const auto& [node, sig] : c.sigs) {
       if (!nodes.insert(node).second) continue;
-      if (cb_.charge_auth_verify) cb_.charge_auth_verify();
+      charge(threshold::CostEvent::kAuthVerify);
       if (node_verify(*pub_, node, statement, sig)) ++valid;
     }
     return valid >= pub_->quorum();

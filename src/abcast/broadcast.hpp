@@ -57,11 +57,9 @@ class AtomicBroadcast {
     std::function<void(const util::Bytes& payload)> deliver;
     std::function<double()> now;
     std::function<void(double delay, std::function<void()>)> set_timer;
-    // Cost hooks; may be empty.
-    std::function<void()> charge_message;
-    std::function<void()> charge_auth_sign;
-    std::function<void()> charge_auth_verify;
-    std::function<void(threshold::CryptoOp)> charge_coin;
+    /// Cost hook (messages, authenticators, common-coin crypto); may be
+    /// empty.
+    std::function<void(threshold::CostEvent)> charge;
     /// Metrics sink (owned by the caller, must outlive the broadcast);
     /// null components count into a shared no-op sink.
     obs::Registry* metrics = nullptr;
@@ -149,6 +147,9 @@ class AtomicBroadcast {
 
   // --- helpers ---
   void broadcast(const util::Bytes& msg);
+  void charge(threshold::CostEvent e) {
+    if (cb_.charge) cb_.charge(e);
+  }
   unsigned leader_of(unsigned epoch) const { return epoch % pub_->n; }
   Slot& slot(unsigned epoch, std::uint64_t seq) { return slots_[{epoch, seq}]; }
 

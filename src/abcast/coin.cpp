@@ -48,8 +48,8 @@ void ThresholdCoin::release_share(std::uint64_t instance, std::uint32_t round, S
   slot.released = true;
   const bn::BigInt x = coin_element(instance, round);
   if (cb_.charge) {
-    cb_.charge(threshold::CryptoOp::kShareValue);
-    cb_.charge(threshold::CryptoOp::kProofGen);
+    cb_.charge(threshold::CostEvent::kShareValue);
+    cb_.charge(threshold::CostEvent::kProofGen);
   }
   auto share = threshold::generate_share(*ctx_, secret_.coin_share, x,
                                          /*with_proof=*/true, rng_);
@@ -82,7 +82,7 @@ void ThresholdCoin::on_message(BytesView msg) {
     Slot& slot = slots_[{instance, round}];
     if (slot.value || slot.shares.count(share.index)) return;
     const bn::BigInt x = coin_element(instance, round);
-    if (cb_.charge) cb_.charge(threshold::CryptoOp::kProofVerify);
+    if (cb_.charge) cb_.charge(threshold::CostEvent::kProofVerify);
     if (!threshold::verify_share(*ctx_, x, share)) {
       SDNS_LOG_DEBUG("coin: invalid share from index ", share.index);
       return;
@@ -108,8 +108,8 @@ void ThresholdCoin::try_assemble(std::uint64_t instance, std::uint32_t round, Sl
   }
   const bn::BigInt x = coin_element(instance, round);
   if (cb_.charge) {
-    cb_.charge(threshold::CryptoOp::kAssemble);
-    cb_.charge(threshold::CryptoOp::kFinalVerify);
+    cb_.charge(threshold::CostEvent::kAssemble);
+    cb_.charge(threshold::CostEvent::kFinalVerify);
   }
   auto y = threshold::assemble(*ctx_, x, subset);
   if (!y || !threshold::verify_signature(*ctx_, x, *y)) {

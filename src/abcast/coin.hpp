@@ -24,7 +24,7 @@ class ThresholdCoin {
     /// Send a coin message to every other node.
     std::function<void(const util::Bytes&)> send_to_all;
     /// Cost hook (proof generation/verification); may be empty.
-    std::function<void(threshold::CryptoOp)> charge;
+    std::function<void(threshold::CostEvent)> charge;
     /// Fired once per resolved coin (a slot's value assembled); may be
     /// empty. The observability layer counts flips through this.
     std::function<void()> on_flip;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "store/durable.hpp"
 #include "util/log.hpp"
 
 namespace sdns::core {
@@ -50,6 +51,33 @@ constexpr std::uint8_t kPayloadBatch = 0x02;
 /// (liveness backstop; see maybe_submit_updates). Generous: covers several
 /// abcast epoch changes under churn without tripping on a healthy round.
 constexpr double kBatchWatchdog = 5.0;
+
+// A replica-to-replica frame: the tag, then the body.
+Bytes frame(std::uint8_t tag, BytesView body) {
+  Writer w;
+  w.u8(tag);
+  w.raw(body);
+  return std::move(w).take();
+}
+
+// The recovery request and its "current" ack carry one delivery cursor.
+Bytes cursor_frame(std::uint8_t tag, std::uint64_t cursor) {
+  Writer w;
+  w.u8(tag);
+  w.u64(cursor);
+  return std::move(w).take();
+}
+
+std::optional<std::uint64_t> decode_cursor(BytesView body) {
+  try {
+    Reader r(body);
+    const std::uint64_t cursor = r.u64();
+    r.expect_done();
+    return cursor;
+  } catch (const util::ParseError&) {
+    return std::nullopt;
+  }
+}
 
 Bytes encode_payload(ClientId client, BytesView request) {
   Writer w;
@@ -127,11 +155,7 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
   if (!config_.base_case) {
     abcast::AtomicBroadcast::Callbacks acb;
     acb.send = [this](unsigned to, const Bytes& m) {
-      if (!cb_.send_replica) return;
-      Writer w;
-      w.u8(kAbcastFrame);
-      w.raw(m);
-      cb_.send_replica(to, std::move(w).take());
+      if (cb_.send_replica) cb_.send_replica(to, frame(kAbcastFrame, m));
     };
     acb.deliver = [this](const Bytes& payload) {
       const abcast::Digest digest = abcast::AtomicBroadcast::digest_of(payload);
@@ -168,10 +192,7 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
     };
     acb.now = cb_.now;
     acb.set_timer = cb_.set_timer;
-    acb.charge_message = cb_.charge_message;
-    acb.charge_auth_sign = cb_.charge_auth_sign;
-    acb.charge_auth_verify = cb_.charge_auth_verify;
-    acb.charge_coin = cb_.charge_crypto;
+    acb.charge = cb_.charge;
     acb.metrics = metrics_;
     abcast::AtomicBroadcast::Options opt;
     opt.complaint_timeout = config_.complaint_timeout;
@@ -182,7 +203,7 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
 }
 
 void ReplicaNode::on_client_request(ClientId client, BytesView wire) {
-  if (cb_.charge_message) cb_.charge_message();
+  charge(threshold::CostEvent::kMessage);
   if (corruption_ == CorruptionMode::kMute) return;  // ignores its clients
   if (config_.base_case) {
     execute(encode_payload(client, wire));
@@ -291,7 +312,7 @@ void ReplicaNode::on_replica_message(unsigned from, BytesView msg) {
     return;
   }
   if (tag == kSigningFrame) {
-    if (cb_.charge_message) cb_.charge_message();
+    charge(threshold::CostEvent::kMessage);
     const auto sid = threshold::SigningSession::peek_session_id(body);
     if (!sid) return;
     if (signing_ && signing_->session_id() == *sid) {
@@ -312,10 +333,8 @@ void ReplicaNode::on_replica_message(unsigned from, BytesView msg) {
     auto done = finished_sigs_.find(*sid);
     if (done != finished_sigs_.end() && cb_.send_replica &&
         corruption_ != CorruptionMode::kMute) {
-      Writer w;
-      w.u8(kSigningFrame);
-      w.raw(threshold::SigningSession::encode_final(*sid, done->second));
-      cb_.send_replica(from, std::move(w).take());
+      cb_.send_replica(from, frame(kSigningFrame, threshold::SigningSession::encode_final(
+                                                     *sid, done->second)));
     }
     return;
   }
@@ -336,15 +355,12 @@ void ReplicaNode::on_replica_message(unsigned from, BytesView msg) {
 void ReplicaNode::start_recovery() {
   if (config_.base_case || !cb_.send_replica) return;
   recovering_ = true;
-  recovery_snapshots_.clear();
+  recovery_candidates_.clear();
   recovery_current_acks_.clear();
   // The request carries our delivered cursor: a disk-first restart is
   // usually already current, and peers that are not ahead answer with a
   // tiny ack instead of shipping the whole zone.
-  Writer w;
-  w.u8(kSnapshotRequestFrame);
-  w.u64(abcast_->delivered_count());
-  const Bytes msg = std::move(w).take();
+  const Bytes msg = cursor_frame(kSnapshotRequestFrame, abcast_->delivered_count());
   for (unsigned i = 0; i < config_.n; ++i) {
     if (i != secret_.id) cb_.send_replica(i, msg);
   }
@@ -353,113 +369,72 @@ void ReplicaNode::start_recovery() {
 void ReplicaNode::handle_snapshot_request(unsigned from, BytesView body) {
   if (corruption_ == CorruptionMode::kMute) return;
   if (!abcast_ || !cb_.send_replica) return;
+  const std::optional<std::uint64_t> hint = decode_cursor(body);
+  if (!hint) return;
   // Cursor hint: when the requester is already at (or ahead of) our
   // delivered cursor there is nothing to transfer — confirm with a
-  // "current" ack. Pre-hint requests (empty body) always get a snapshot.
-  if (!body.empty()) {
-    std::uint64_t hint = 0;
-    try {
-      Reader r(body);
-      hint = r.u64();
-      r.expect_done();
-    } catch (const util::ParseError&) {
-      return;
-    }
-    if (abcast_->delivered_count() <= hint) {
-      Writer w;
-      w.u8(kSnapshotCurrentFrame);
-      w.u64(abcast_->delivered_count());
-      cb_.send_replica(from, std::move(w).take());
-      return;
-    }
+  // "current" ack.
+  if (abcast_->delivered_count() <= *hint) {
+    cb_.send_replica(from,
+                     cursor_frame(kSnapshotCurrentFrame, abcast_->delivered_count()));
+    return;
   }
   // Only serve a consistent point: between operations, with the execution
   // queue drained, the zone reflects exactly `deliveries_` executed requests.
   if (executing_ || !exec_queue_.empty()) return;
-  Writer w;
-  w.u8(kSnapshotFrame);
-  w.u64(abcast_->delivered_count());
-  w.u64(deliveries_);
-  w.u64(update_counter_);
-  w.lp32(server_.zone().to_wire());
-  cb_.send_replica(from, std::move(w).take());
+  cb_.send_replica(from,
+                   frame(kSnapshotFrame, store::encode_zone_state(make_store_state())));
 }
 
 void ReplicaNode::handle_snapshot_current(unsigned from, BytesView body) {
   if (!recovering_) return;
-  std::uint64_t cursor = 0;
-  try {
-    Reader r(body);
-    cursor = r.u64();
-    r.expect_done();
-  } catch (const util::ParseError&) {
-    return;
-  }
-  recovery_current_acks_[from] = cursor;
+  const std::optional<std::uint64_t> cursor = decode_cursor(body);
+  if (!cursor) return;
+  recovery_current_acks_[from] = *cursor;
   try_finish_recovery();
 }
 
 void ReplicaNode::handle_snapshot(unsigned from, BytesView body) {
   if (!recovering_) return;
+  // Decode and verify once, on arrival, with the disk path's codec and
+  // verifier; a candidate that fails never counts toward the quorum. A
+  // signed zone must verify under the dealt zone key — a zone self-signed
+  // under a key a Byzantine peer made up verifies against its own apex
+  // KEY. An unsigned zone only has to parse; its freshness comes from t+1
+  // identical candidates instead.
+  store::ZoneState state;
   try {
-    Reader r(body);
-    Snapshot snap;
-    snap.abcast_cursor = r.u64();
-    snap.deliveries = r.u64();
-    snap.update_counter = r.u64();
-    snap.zone_wire = r.lp32();
-    r.expect_done();
-    recovery_snapshots_[from] = std::move(snap);
+    state = store::decode_zone_state(body);
   } catch (const util::ParseError&) {
     return;
   }
+  std::optional<crypto::RsaPublicKey> trusted;
+  if (server_.zone_is_signed()) trusted = zone_key_->rsa();
+  if (!store::make_zone_verifier(std::move(trusted))(state)) return;
+  recovery_candidates_[from] = std::move(state);
   try_finish_recovery();
 }
 
 void ReplicaNode::try_finish_recovery() {
-  // Verify candidates; a snapshot counts once it passes full DNSSEC zone
-  // verification under the dealt zone key (signed zones) or at face value
-  // for unsigned ones, where freshness is established by t+1 agreeing on
-  // (cursor, zone) instead. Pinning the key matters: a zone self-signed
-  // under a key a Byzantine peer made up verifies against its own apex KEY.
-  std::vector<std::pair<unsigned, const Snapshot*>> valid;
-  // Keep each candidate's parsed zone so the adopted one installs by move
-  // instead of being parsed a second time (candidate count is at most n).
-  std::map<const Snapshot*, dns::Zone> parsed;
-  const bool zone_signed = server_.zone_is_signed();
-  const crypto::RsaPublicKey trusted =
-      zone_signed ? zone_key_->rsa() : crypto::RsaPublicKey{};
-  for (const auto& [from, snap] : recovery_snapshots_) {
-    try {
-      dns::Zone zone = dns::Zone::from_wire(snap.zone_wire);
-      if (zone_signed && !dns::verify_zone(zone, trusted).ok) continue;
-      valid.push_back({from, &snap});
-      parsed.emplace(&snap, std::move(zone));
-    } catch (const util::ParseError&) {
-    }
-  }
   // A "current" ack counts toward the response quorum: the acking peer
   // compared its cursor against ours and found nothing to transfer. With at
   // most t faulty replicas, t+1 responses contain an honest one.
   const std::size_t quorum = static_cast<std::size_t>(config_.t) + 1;
-  if (valid.size() + recovery_current_acks_.size() < quorum) return;
-  const Snapshot* best = nullptr;
-  if (zone_signed) {
-    // Signed zone: any verified snapshot is authentic; take the freshest.
-    for (const auto& [from, snap] : valid) {
-      if (!best || snap->abcast_cursor > best->abcast_cursor) best = snap;
+  if (recovery_candidates_.size() + recovery_current_acks_.size() < quorum) return;
+  store::ZoneState* best = nullptr;
+  if (server_.zone_is_signed()) {
+    // Signed zone: any verified candidate is authentic; take the freshest.
+    for (auto& [from, state] : recovery_candidates_) {
+      if (!best || state.abcast_cursor > best->abcast_cursor) best = &state;
     }
   } else {
-    // Unsigned zone: require t+1 identical snapshots (majority evidence).
-    std::map<std::string, std::pair<unsigned, const Snapshot*>> votes;
-    for (const auto& [from, snap] : valid) {
+    // Unsigned zone: require t+1 identical candidates (majority evidence).
+    std::map<std::string, unsigned> votes;
+    for (auto& [from, state] : recovery_candidates_) {
       Writer key;
-      key.u64(snap->abcast_cursor);
-      key.lp32(snap->zone_wire);
-      auto& entry = votes[util::to_string(key.bytes())];
-      entry.first += 1;
-      entry.second = snap;
-      if (entry.first >= config_.t + 1) best = snap;
+      key.u64(state.abcast_cursor);
+      key.lp32(state.zone_wire);
+      if (++votes[util::to_string(key.bytes())] >= config_.t + 1) best = &state;
     }
   }
   if (!best) {
@@ -478,15 +453,8 @@ void ReplicaNode::try_finish_recovery() {
     stand_down_recovery("freshest peer snapshot is not ahead of local state");
     return;
   }
-  if (const auto it = parsed.find(best); it != parsed.end()) {
-    server_.zone() = std::move(it->second);
-  } else {
-    server_.zone() = dns::Zone::from_wire(best->zone_wire);
-  }
-  bump_zone_generation();
-  deliveries_ = best->deliveries;
-  update_counter_ = best->update_counter;
-  abcast_->fast_forward(best->abcast_cursor);
+  const std::uint64_t cursor = best->abcast_cursor;
+  if (!install_state(*best)) return;
   // Whatever was mid-execution was computed against the pre-snapshot state;
   // the snapshot already contains those operations' effects. Drop the
   // execution pipeline and any in-flight signing work.
@@ -502,7 +470,7 @@ void ReplicaNode::try_finish_recovery() {
   ++signing_timer_gen_;
   pending_signing_.clear();
   recovering_ = false;
-  recovery_snapshots_.clear();
+  recovery_candidates_.clear();
   recovery_current_acks_.clear();
   // Adoption abandoned any boot replay in progress; nothing left to mute.
   suppress_responses_below_ = 0;
@@ -511,14 +479,13 @@ void ReplicaNode::try_finish_recovery() {
   store_->checkpoint([this] { return make_store_state(); });
   ++recoveries_completed_;
   c_recoveries_->inc();
-  SDNS_LOG_INFO("replica ", secret_.id, ": recovered to delivery cursor ",
-                best->abcast_cursor);
+  SDNS_LOG_INFO("replica ", secret_.id, ": recovered to delivery cursor ", cursor);
   maybe_submit_updates(false);
 }
 
 void ReplicaNode::stand_down_recovery(const char* why) {
   recovering_ = false;
-  recovery_snapshots_.clear();
+  recovery_candidates_.clear();
   recovery_current_acks_.clear();
   c_recovery_standdowns_->inc();
   SDNS_LOG_INFO("replica ", secret_.id, ": recovery stand-down at cursor ",
@@ -535,34 +502,35 @@ store::ZoneState ReplicaNode::make_store_state() const {
   return state;
 }
 
+bool ReplicaNode::install_state(const store::ZoneState& state) {
+  // The verifier already parsed the zone; install its stash instead of
+  // re-parsing the wire (the second parse used to dominate a 1M-RRset cold
+  // restart). rrset_count() == 0 means the stash was already consumed (or
+  // holds a trivial zone) — re-parse rather than install a moved-from
+  // object. The parse also covers stores opened without a verifier.
+  if (const auto& cached = state.verified_zone; cached && cached->rrset_count() != 0) {
+    server_.zone() = std::move(*cached);
+  } else {
+    try {
+      server_.zone() = dns::Zone::from_wire(state.zone_wire);
+    } catch (const util::ParseError&) {
+      SDNS_LOG_WARN("replica ", secret_.id, ": zone state does not parse, ignoring it");
+      return false;
+    }
+  }
+  bump_zone_generation();
+  deliveries_ = state.deliveries;
+  update_counter_ = state.update_counter;
+  abcast_->fast_forward(state.abcast_cursor);
+  return true;
+}
+
 void ReplicaNode::restore_from_store(const store::RecoveredState& recovered) {
   if (!recovered.usable() || config_.base_case || !abcast_) return;
   std::uint64_t cursor = 0;
   if (recovered.snapshot) {
-    const store::ZoneState& snap = *recovered.snapshot;
-    // The snapshot verifier already parsed the zone; install its stash
-    // instead of re-parsing the wire (the second parse used to dominate a
-    // 1M-RRset cold restart). The fallback parse covers stores opened with
-    // a null or stash-less verifier.
-    const std::shared_ptr<dns::Zone>& cached = snap.verified_zone;
-    if (cached && cached->rrset_count() != 0) {
-      // rrset_count() == 0 means the stash was already consumed (or holds a
-      // trivial zone) — re-parse rather than install a moved-from object.
-      server_.zone() = std::move(*cached);
-    } else {
-      try {
-        server_.zone() = dns::Zone::from_wire(snap.zone_wire);
-      } catch (const util::ParseError&) {
-        // The store verified the snapshot already; an unparseable zone here
-        // means the verifier was disabled. Treat the disk as empty.
-        SDNS_LOG_WARN("replica ", secret_.id,
-                      ": recovered snapshot zone does not parse, ignoring disk");
-        return;
-      }
-    }
-    deliveries_ = snap.deliveries;
-    update_counter_ = snap.update_counter;
-    cursor = snap.abcast_cursor;
+    if (!install_state(*recovered.snapshot)) return;  // treat the disk as empty
+    cursor = recovered.snapshot->abcast_cursor;
   }
   std::size_t replayed = 0;
   for (const store::WalRecord& rec : recovered.tail) {
@@ -589,7 +557,6 @@ void ReplicaNode::restore_from_store(const store::RecoveredState& recovered) {
   // re-run with the same deterministic ids, and peers that already finished
   // them answer our re-sent shares with the assembled final signature.
   suppress_responses_below_ = deliveries_ + exec_queue_.size();
-  bump_zone_generation();
   SDNS_LOG_INFO("replica ", secret_.id, ": disk-first restore to cursor ",
                 cursor, ", replaying ", replayed, " logged operations");
   execute_next();
@@ -742,14 +709,14 @@ void ReplicaNode::respond_update(ClientId client, const dns::Message& response) 
 void ReplicaNode::run_query(ClientId client, const dns::Message& request) {
   ++executed_reads_;
   c_reads_->inc();
-  if (cb_.charge_dns_query) cb_.charge_dns_query();
+  charge(threshold::CostEvent::kDnsQuery);
   respond(client, server_.answer_query(request));
 }
 
 void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
   ++executed_updates_;
   c_updates_->inc();
-  if (cb_.charge_dns_update) cb_.charge_dns_update();
+  charge(threshold::CostEvent::kDnsUpdate);
   // Deterministic logical inception time shared by all replicas.
   const std::uint32_t inception =
       1'000'000 + static_cast<std::uint32_t>(update_counter_);
@@ -770,7 +737,7 @@ void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
   if (config_.base_case) {
     // Unmodified named: sign locally with the zone's private key.
     for (const auto& task : result.sig_tasks) {
-      if (cb_.charge_local_sign) cb_.charge_local_sign();
+      charge(threshold::CostEvent::kLocalSign);
       server_.install_signature(task, crypto::rsa_sign_sha1(*local_key_, task.data));
       ++signatures_computed_;
       c_signatures_->inc();
@@ -797,15 +764,12 @@ void ReplicaNode::start_next_signature() {
   threshold::SessionCallbacks scb;
   scb.send_to_all = [this](const Bytes& m) {
     if (!cb_.send_replica) return;
-    Writer w;
-    w.u8(kSigningFrame);
-    w.raw(m);
-    const Bytes framed = std::move(w).take();
+    const Bytes framed = frame(kSigningFrame, m);
     for (unsigned i = 0; i < config_.n; ++i) {
       if (i != secret_.id) cb_.send_replica(i, framed);
     }
   };
-  scb.charge = cb_.charge_crypto;
+  scb.charge = cb_.charge;
   scb.metrics = metrics_;
   scb.now = cb_.now;
   scb.on_complete = [this, index](const bn::BigInt& y) {

@@ -46,14 +46,9 @@ class ReplicaNode {
     /// signature, a recovery or disk-restore reinstall. The runtime hangs
     /// RFC 1996 NOTIFY fan-out off this.
     std::function<void(std::uint64_t)> zone_committed;
-    // Cost hooks (all optional).
-    std::function<void(threshold::CryptoOp)> charge_crypto;
-    std::function<void()> charge_message;
-    std::function<void()> charge_auth_sign;
-    std::function<void()> charge_auth_verify;
-    std::function<void()> charge_dns_query;
-    std::function<void()> charge_dns_update;
-    std::function<void()> charge_local_sign;
+    /// Cost hook (optional): every CPU-costed operation of this replica and
+    /// of the protocols below it.
+    std::function<void(threshold::CostEvent)> charge;
     /// Metrics sink; when null the replica owns a private registry so its
     /// counters (and the components' below it) are still introspectable.
     obs::Registry* metrics = nullptr;
@@ -83,11 +78,12 @@ class ReplicaNode {
 
   /// Ask the other replicas for a zone snapshot (AXFR-style state transfer)
   /// and reinstall the freshest one that t+1 replicas vouch for — the
-  /// recovery path for a repaired or long-partitioned server. The snapshot
-  /// is trusted because the zone is threshold-signed (each candidate must
-  /// pass full DNSSEC verification); freshness comes from taking the
-  /// highest execution counter among >= t+1 verified snapshots, at least
-  /// one of which is honest.
+  /// recovery path for a repaired or long-partitioned server. Snapshots
+  /// travel as the store's zone-state envelope; each is trusted because the
+  /// zone is threshold-signed (store::make_zone_verifier checks it once, on
+  /// arrival, under the dealt key); freshness comes from taking the highest
+  /// execution counter among >= t+1 verified snapshots, at least one of
+  /// which is honest.
   void start_recovery();
   bool recovering() const { return recovering_; }
   std::uint64_t recoveries_completed() const { return recoveries_completed_; }
@@ -155,13 +151,6 @@ class ReplicaNode {
     std::size_t next_task = 0;
   };
 
-  struct Snapshot {
-    std::uint64_t abcast_cursor = 0;
-    std::uint64_t deliveries = 0;
-    std::uint64_t update_counter = 0;
-    util::Bytes zone_wire;
-  };
-
   /// A delivered batch payload mid-execution. Entries run strictly in
   /// order; the zone-generation bump and every update response are
   /// deferred to finish_batch() so no client can see a NOERROR before the
@@ -182,6 +171,11 @@ class ReplicaNode {
   void try_finish_recovery();
   void stand_down_recovery(const char* why);
   store::ZoneState make_store_state() const;
+  /// The one install path behind restore_from_store and recovery adoption:
+  /// the zone the verifier stashed (or, without one, a parse of the wire),
+  /// then the counters, the abcast cursor and a generation bump. False,
+  /// changing nothing, when the zone does not parse.
+  bool install_state(const store::ZoneState& state);
   void run_query(ClientId client, const dns::Message& request);
   void run_update(ClientId client, const dns::Message& request);
   void start_next_signature();
@@ -192,6 +186,9 @@ class ReplicaNode {
   void respond(ClientId client, const dns::Message& response);
   std::uint64_t next_session_id();
   void bump_zone_generation();
+  void charge(threshold::CostEvent e) {
+    if (cb_.charge) cb_.charge(e);
+  }
   // Update batching (gateway side + execution side).
   void maybe_submit_updates(bool window_elapsed);
   void continue_batch();
@@ -275,7 +272,8 @@ class ReplicaNode {
 
   // Recovery state.
   bool recovering_ = false;
-  std::map<unsigned, Snapshot> recovery_snapshots_;
+  /// Snapshots peers sent, each decoded and verified once, on arrival.
+  std::map<unsigned, store::ZoneState> recovery_candidates_;
   /// Peers that answered the snapshot request with "you are current"
   /// (their cursor <= ours) instead of a full snapshot.
   std::map<unsigned, std::uint64_t> recovery_current_acks_;

@@ -119,15 +119,9 @@ ReplicatedService::ReplicatedService(ServiceOptions options, const dns::Name& or
         net_->cpu(i).enqueue(sim_.now(), fn);
       });
     };
-    cb.charge_crypto = [this, i, &cost](threshold::CryptoOp op) {
-      net_->cpu(i).charge(cost.cost(op));
+    cb.charge = [this, i, &cost](threshold::CostEvent e) {
+      net_->cpu(i).charge(cost.cost(e));
     };
-    cb.charge_message = [this, i, &cost] { net_->cpu(i).charge(cost.message_handle); };
-    cb.charge_auth_sign = [this, i, &cost] { net_->cpu(i).charge(cost.auth_sign); };
-    cb.charge_auth_verify = [this, i, &cost] { net_->cpu(i).charge(cost.auth_verify); };
-    cb.charge_dns_query = [this, i, &cost] { net_->cpu(i).charge(cost.dns_query); };
-    cb.charge_dns_update = [this, i, &cost] { net_->cpu(i).charge(cost.dns_update); };
-    cb.charge_local_sign = [this, i, &cost] { net_->cpu(i).charge(cost.local_sign); };
     const bool corrupted =
         std::find(opt_.corrupted.begin(), opt_.corrupted.end(), i) != opt_.corrupted.end();
     CorruptionMode mode = corrupted ? opt_.corruption_mode : CorruptionMode::kHonest;

@@ -1,31 +1,14 @@
 #include "crypto/sha1.hpp"
 
-#include <cstring>
-
 namespace sdns::crypto {
 
 namespace {
 inline std::uint32_t rotl(std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
 }  // namespace
 
-void Sha1::reset() {
-  h_[0] = 0x67452301;
-  h_[1] = 0xEFCDAB89;
-  h_[2] = 0x98BADCFE;
-  h_[3] = 0x10325476;
-  h_[4] = 0xC3D2E1F0;
-  buf_len_ = 0;
-  total_len_ = 0;
-}
-
 void Sha1::process_block(const std::uint8_t* block) {
   std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
+  load_words(block, w);
   for (int i = 16; i < 80; ++i) {
     w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
@@ -57,56 +40,6 @@ void Sha1::process_block(const std::uint8_t* block) {
   h_[2] += c;
   h_[3] += d;
   h_[4] += e;
-}
-
-void Sha1::update(util::BytesView data) {
-  total_len_ += data.size();
-  std::size_t pos = 0;
-  if (buf_len_ > 0) {
-    const std::size_t take = std::min(kBlockSize - buf_len_, data.size());
-    std::memcpy(buf_ + buf_len_, data.data(), take);
-    buf_len_ += take;
-    pos = take;
-    if (buf_len_ == kBlockSize) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
-  while (pos + kBlockSize <= data.size()) {
-    process_block(data.data() + pos);
-    pos += kBlockSize;
-  }
-  if (pos < data.size()) {
-    std::memcpy(buf_, data.data() + pos, data.size() - pos);
-    buf_len_ = data.size() - pos;
-  }
-}
-
-std::array<std::uint8_t, Sha1::kDigestSize> Sha1::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update({len_be, 8});
-  std::array<std::uint8_t, kDigestSize> out;
-  for (int i = 0; i < 5; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
-  reset();
-  return out;
-}
-
-util::Bytes Sha1::digest(util::BytesView data) {
-  Sha1 h;
-  h.update(data);
-  auto d = h.finish();
-  return util::Bytes(d.begin(), d.end());
 }
 
 }  // namespace sdns::crypto

@@ -6,33 +6,16 @@
 // reproduce the 2004 system faithfully.
 #pragma once
 
-#include <array>
-#include <cstdint>
-
-#include "util/bytes.hpp"
+#include "crypto/md_hash.hpp"
 
 namespace sdns::crypto {
 
-class Sha1 {
- public:
-  static constexpr std::size_t kDigestSize = 20;
-  static constexpr std::size_t kBlockSize = 64;
-
-  Sha1() { reset(); }
-
-  void reset();
-  void update(util::BytesView data);
-  std::array<std::uint8_t, kDigestSize> finish();
-
-  static util::Bytes digest(util::BytesView data);
-
+class Sha1 : public MdHash<Sha1, 5> {
  private:
+  friend class MdHash<Sha1, 5>;
+  static constexpr std::uint32_t kInit[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE,
+                                             0x10325476, 0xC3D2E1F0};
   void process_block(const std::uint8_t* block);
-
-  std::uint32_t h_[5];
-  std::uint8_t buf_[kBlockSize];
-  std::size_t buf_len_ = 0;
-  std::uint64_t total_len_ = 0;
 };
 
 }  // namespace sdns::crypto

@@ -1,7 +1,5 @@
 #include "crypto/sha256.hpp"
 
-#include <cstring>
-
 namespace sdns::crypto {
 
 namespace {
@@ -20,27 +18,9 @@ constexpr std::uint32_t kK[64] = {
     0xc67178f2};
 }  // namespace
 
-void Sha256::reset() {
-  h_[0] = 0x6a09e667;
-  h_[1] = 0xbb67ae85;
-  h_[2] = 0x3c6ef372;
-  h_[3] = 0xa54ff53a;
-  h_[4] = 0x510e527f;
-  h_[5] = 0x9b05688c;
-  h_[6] = 0x1f83d9ab;
-  h_[7] = 0x5be0cd19;
-  buf_len_ = 0;
-  total_len_ = 0;
-}
-
 void Sha256::process_block(const std::uint8_t* block) {
   std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
+  load_words(block, w);
   for (int i = 16; i < 64; ++i) {
     const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
     const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
@@ -72,56 +52,6 @@ void Sha256::process_block(const std::uint8_t* block) {
   h_[5] += f;
   h_[6] += g;
   h_[7] += h;
-}
-
-void Sha256::update(util::BytesView data) {
-  total_len_ += data.size();
-  std::size_t pos = 0;
-  if (buf_len_ > 0) {
-    const std::size_t take = std::min(kBlockSize - buf_len_, data.size());
-    std::memcpy(buf_ + buf_len_, data.data(), take);
-    buf_len_ += take;
-    pos = take;
-    if (buf_len_ == kBlockSize) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
-  while (pos + kBlockSize <= data.size()) {
-    process_block(data.data() + pos);
-    pos += kBlockSize;
-  }
-  if (pos < data.size()) {
-    std::memcpy(buf_, data.data() + pos, data.size() - pos);
-    buf_len_ = data.size() - pos;
-  }
-}
-
-std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update({len_be, 8});
-  std::array<std::uint8_t, kDigestSize> out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
-  reset();
-  return out;
-}
-
-util::Bytes Sha256::digest(util::BytesView data) {
-  Sha256 h;
-  h.update(data);
-  auto d = h.finish();
-  return util::Bytes(d.begin(), d.end());
 }
 
 }  // namespace sdns::crypto

@@ -3,33 +3,17 @@
 // where we need a hash but are not bound by the 2004 DNSSEC wire format.
 #pragma once
 
-#include <array>
-#include <cstdint>
-
-#include "util/bytes.hpp"
+#include "crypto/md_hash.hpp"
 
 namespace sdns::crypto {
 
-class Sha256 {
- public:
-  static constexpr std::size_t kDigestSize = 32;
-  static constexpr std::size_t kBlockSize = 64;
-
-  Sha256() { reset(); }
-
-  void reset();
-  void update(util::BytesView data);
-  std::array<std::uint8_t, kDigestSize> finish();
-
-  static util::Bytes digest(util::BytesView data);
-
+class Sha256 : public MdHash<Sha256, 8> {
  private:
+  friend class MdHash<Sha256, 8>;
+  static constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                             0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                             0x1f83d9ab, 0x5be0cd19};
   void process_block(const std::uint8_t* block);
-
-  std::uint32_t h_[8];
-  std::uint8_t buf_[kBlockSize];
-  std::size_t buf_len_ = 0;
-  std::uint64_t total_len_ = 0;
 };
 
 }  // namespace sdns::crypto

@@ -22,6 +22,7 @@ Mesh::Mesh(EventLoop& loop, Options options, DeliverFn deliver, util::Rng rng)
   obs::Registry* m = opt_.metrics;
   c_reconnects_ = m ? &m->counter("mesh.reconnects") : &obs::noop_counter();
   c_dropped_ = m ? &m->counter("mesh.drops.fair_lossy") : &obs::noop_counter();
+  c_oversize_ = m ? &m->counter("mesh.drops.oversize") : &obs::noop_counter();
   c_mac_rejects_ = m ? &m->counter("mesh.rejects.mac") : &obs::noop_counter();
   c_conn_drops_ = m ? &m->counter("mesh.conn.drops") : &obs::noop_counter();
   c_established_ = m ? &m->counter("mesh.conn.established") : &obs::noop_counter();
@@ -343,6 +344,17 @@ void Mesh::send_now(unsigned to, Bytes msg) {
   auto it = peers_.find(to);
   if (it == peers_.end()) return;
   Peer& p = it->second;
+  // A message whose frame alone exceeds the write cap can never be sent,
+  // established link or not; it is no fair-lossy drop that a retransmission
+  // recovers, so count and log it apart. The frame is a 4-byte length
+  // prefix around sequence number, body and MAC (encode_data_frame).
+  const std::size_t frame_bytes = 4 + 8 + msg.size() + kMeshMacLen;
+  if (frame_bytes > opt_.write_cap) {
+    c_oversize_->inc();
+    SDNS_LOG_WARN("mesh ", opt_.self, "->", to, ": dropping a ", frame_bytes,
+                  "-byte frame over the ", opt_.write_cap, "-byte write cap");
+    return;
+  }
   if (p.established) {
     const Bytes framed = MeshFrameDecoder::frame(
         encode_data_frame(p.session_key, opt_.self, to, p.send_seq, msg));

@@ -58,7 +58,9 @@ class Mesh {
 
   /// Queue `msg` for replica `to`; delivered once the link is up (dropped
   /// with a count if the backlog cap is exceeded — the protocol layer's
-  /// retransmission timers recover). With a fault injector configured, the
+  /// retransmission timers recover). A message whose frame alone exceeds
+  /// write_cap is dropped under mesh.drops.oversize with a WARN: no retry
+  /// can ever send it. With a fault injector configured, the
   /// message may instead be dropped, held in a loop timer, or duplicated.
   void send(unsigned to, util::Bytes msg);
 
@@ -127,6 +129,7 @@ class Mesh {
   // Counters resolved once at construction (see Options::metrics).
   obs::Counter* c_reconnects_;
   obs::Counter* c_dropped_;
+  obs::Counter* c_oversize_;
   obs::Counter* c_mac_rejects_;
   obs::Counter* c_conn_drops_;
   obs::Counter* c_established_;

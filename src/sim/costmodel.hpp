@@ -44,13 +44,20 @@ struct CostModel {
   double dns_update = 0.002;  ///< zone mutation excluding signatures
   double local_sign = 0.010;  ///< unmodified named signing with a local key
 
-  double cost(threshold::CryptoOp op) const {
-    switch (op) {
-      case threshold::CryptoOp::kShareValue: return share_value;
-      case threshold::CryptoOp::kProofGen: return proof_gen;
-      case threshold::CryptoOp::kProofVerify: return proof_verify;
-      case threshold::CryptoOp::kAssemble: return assemble;
-      case threshold::CryptoOp::kFinalVerify: return final_verify;
+  double cost(threshold::CostEvent e) const {
+    using E = threshold::CostEvent;
+    switch (e) {
+      case E::kShareValue: return share_value;
+      case E::kProofGen: return proof_gen;
+      case E::kProofVerify: return proof_verify;
+      case E::kAssemble: return assemble;
+      case E::kFinalVerify: return final_verify;
+      case E::kMessage: return message_handle;
+      case E::kAuthSign: return auth_sign;
+      case E::kAuthVerify: return auth_verify;
+      case E::kDnsQuery: return dns_query;
+      case E::kDnsUpdate: return dns_update;
+      case E::kLocalSign: return local_sign;
     }
     return 0;
   }

@@ -76,42 +76,23 @@ DurableZoneStore::DurableZoneStore(Options options) : opt_(std::move(options)) {
     // No snapshot yet — a fresh directory, or log-only history.
   }
   if (!raw.empty()) {
-    bool ok = false;
-    ZoneState snap;
+    std::optional<ZoneState> snap;
     try {
-      if (raw.size() < sizeof kSnapMagic + 1 + 8 ||
-          std::memcmp(raw.data(), kSnapMagic, sizeof kSnapMagic) != 0) {
-        throw util::ParseError("bad snapshot magic");
-      }
-      const BytesView body(raw.data(), raw.size() - 8);
-      util::Reader sum_r(BytesView(raw).subspan(raw.size() - 8));
-      if (util::fnv1a(body) != sum_r.u64()) throw util::ParseError("snapshot checksum");
-      util::Reader r(body.subspan(sizeof kSnapMagic));
-      const std::uint8_t version = r.u8();
-      if (version < kSnapVersionMin || version > kSnapVersion) {
-        throw util::ParseError("snapshot version");
-      }
-      snap.abcast_cursor = r.u64();
-      snap.deliveries = r.u64();
-      snap.update_counter = r.u64();
-      snap.zone_generation = r.u64();
-      snap.zone_wire = r.lp32();
-      r.expect_done();
-      ok = true;
+      snap = decode_zone_state(raw);
     } catch (const util::ParseError& e) {
       SDNS_LOG_WARN("store ", opt_.dir, ": discarding corrupt snapshot: ",
                     e.what());
       c_snapshot_rejects_->inc();
     }
-    if (ok && opt_.verify && !opt_.verify(snap)) {
+    if (snap && opt_.verify && !opt_.verify(*snap)) {
       // Checksum-intact but the zone inside does not verify under the zone
       // key: disk tampering or bitrot past the checksum. Never trust it.
       SDNS_LOG_WARN("store ", opt_.dir,
                     ": snapshot failed zone-signature verification, rejecting");
       c_snapshot_rejects_->inc();
-      ok = false;
+      snap.reset();
     }
-    if (ok) recovered_.snapshot = std::move(snap);
+    recovered_.snapshot = std::move(snap);
   }
 
   wal_ = std::make_unique<Wal>(opt_.dir + "/wal.log", opt_.metrics);
@@ -176,17 +157,7 @@ void DurableZoneStore::checkpoint(const std::function<ZoneState()>& state) {
 }
 
 void DurableZoneStore::write_snapshot(const ZoneState& state) {
-  util::Writer w(state.zone_wire.size() + 64);
-  w.raw(kSnapMagic, sizeof kSnapMagic);
-  w.u8(kSnapVersion);
-  w.u64(state.abcast_cursor);
-  w.u64(state.deliveries);
-  w.u64(state.update_counter);
-  w.u64(state.zone_generation);
-  w.lp32(state.zone_wire);
-  const std::uint64_t sum = util::fnv1a(w.bytes());
-  w.u64(sum);
-  const Bytes blob = std::move(w).take();
+  const Bytes blob = encode_zone_state(state);
 
   const std::string tmp = opt_.dir + "/snapshot.tmp";
   const std::string dst = opt_.dir + "/snapshot.bin";
@@ -211,6 +182,43 @@ void DurableZoneStore::write_snapshot(const ZoneState& state) {
   c_snapshot_bytes_->inc(blob.size());
   SDNS_LOG_INFO("store ", opt_.dir, ": snapshot@", state.abcast_cursor, " (",
                 blob.size(), " bytes), log compacted");
+}
+
+Bytes encode_zone_state(const ZoneState& state) {
+  util::Writer w(state.zone_wire.size() + 64);
+  w.raw(kSnapMagic, sizeof kSnapMagic);
+  w.u8(kSnapVersion);
+  w.u64(state.abcast_cursor);
+  w.u64(state.deliveries);
+  w.u64(state.update_counter);
+  w.u64(state.zone_generation);
+  w.lp32(state.zone_wire);
+  const std::uint64_t sum = util::fnv1a(w.bytes());
+  w.u64(sum);
+  return std::move(w).take();
+}
+
+ZoneState decode_zone_state(BytesView raw) {
+  if (raw.size() < sizeof kSnapMagic + 1 + 8 ||
+      std::memcmp(raw.data(), kSnapMagic, sizeof kSnapMagic) != 0) {
+    throw util::ParseError("bad snapshot magic");
+  }
+  const BytesView body = raw.first(raw.size() - 8);
+  util::Reader sum_r(raw.subspan(raw.size() - 8));
+  if (util::fnv1a(body) != sum_r.u64()) throw util::ParseError("snapshot checksum");
+  util::Reader r(body.subspan(sizeof kSnapMagic));
+  const std::uint8_t version = r.u8();
+  if (version < kSnapVersionMin || version > kSnapVersion) {
+    throw util::ParseError("snapshot version");
+  }
+  ZoneState state;
+  state.abcast_cursor = r.u64();
+  state.deliveries = r.u64();
+  state.update_counter = r.u64();
+  state.zone_generation = r.u64();
+  state.zone_wire = r.lp32();
+  r.expect_done();
+  return state;
 }
 
 std::function<bool(ZoneState&)> make_zone_verifier(

@@ -4,7 +4,8 @@
 //   <dir>/wal.log        the write-ahead log (store/wal.hpp format)
 //   <dir>/snapshot.bin   newest snapshot (written to snapshot.tmp, renamed)
 //
-// Snapshot file layout (big-endian, util::Writer):
+// Snapshot envelope (big-endian, util::Writer) — snapshot.bin and the
+// network-recovery snapshot frame carry the same bytes:
 //   8-byte magic "SDNSSNAP" | u8 version
 //   u64 abcast_cursor | u64 deliveries | u64 update_counter
 //   u64 zone_generation | lp32 zone_wire | u64 fnv1a(everything above)
@@ -16,9 +17,10 @@
 //
 // The zone_wire carries the installed threshold SIG records, so a snapshot
 // is self-certifying: recovery re-verifies the whole zone against the zone
-// key (Options::verify) before trusting it — a corrupted or attacker-
+// key (make_zone_verifier) before trusting it — a corrupted or attacker-
 // planted snapshot fails verification and the replica falls back to the
-// network state transfer, exactly as if the disk were empty.
+// network state transfer, exactly as if the disk were empty. A snapshot a
+// peer sends during network recovery passes the same verifier.
 //
 // Atomicity: snapshots are written to a temp file, fsynced, renamed over
 // snapshot.bin, and the directory is fsynced — a crash leaves either the
@@ -35,6 +37,15 @@
 #include "store/wal.hpp"
 
 namespace sdns::store {
+
+/// Encode `state` as a current-version snapshot envelope (the stash is not
+/// part of it).
+util::Bytes encode_zone_state(const ZoneState& state);
+
+/// Decode a snapshot envelope of any readable version. Throws
+/// util::ParseError on a bad magic, checksum, version or layout. The
+/// checksum only catches accidents; trust comes from make_zone_verifier.
+ZoneState decode_zone_state(util::BytesView raw);
 
 /// The snapshot verifier a replica installs as Options::verify: parse the
 /// embedded zone (on `parse_threads` workers), require it to verify under

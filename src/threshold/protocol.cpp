@@ -63,8 +63,8 @@ bool SigningSession::is_share_message(BytesView msg) {
 
 SignatureShare SigningSession::make_own_share(bool with_proof) {
   if (cb_.charge) {
-    cb_.charge(CryptoOp::kShareValue);
-    if (with_proof) cb_.charge(CryptoOp::kProofGen);
+    cb_.charge(CostEvent::kShareValue);
+    if (with_proof) cb_.charge(CostEvent::kProofGen);
   }
   SignatureShare s = generate_share(*ctx_, share_, x_, with_proof, rng_);
   if (corruption_ == ShareCorruption::kFlipShare) {
@@ -178,7 +178,7 @@ void SigningSession::handle_share(SignatureShare share) {
 void SigningSession::handle_proof_share(SignatureShare share) {
   if (valid_shares_.count(share.index) || rejected_indices_.count(share.index)) return;
   if (!share.has_proof) return;
-  if (cb_.charge) cb_.charge(CryptoOp::kProofVerify);
+  if (cb_.charge) cb_.charge(CostEvent::kProofVerify);
   if (verify_share(*ctx_, x_, share)) {
     c_verify_ok_->inc();
     valid_shares_.emplace(share.index, std::move(share));
@@ -206,7 +206,7 @@ void SigningSession::handle_proof_request() {
 }
 
 void SigningSession::handle_final(const BigInt& y) {
-  if (cb_.charge) cb_.charge(CryptoOp::kFinalVerify);
+  if (cb_.charge) cb_.charge(CostEvent::kFinalVerify);
   if (verify_signature(*ctx_, x_, y)) complete(y);
 }
 
@@ -229,8 +229,8 @@ void SigningSession::try_assemble_optimistic() {
   if (subset.size() < need) return;
   optimistic_attempted_ = true;
   if (cb_.charge) {
-    cb_.charge(CryptoOp::kAssemble);
-    cb_.charge(CryptoOp::kFinalVerify);
+    cb_.charge(CostEvent::kAssemble);
+    cb_.charge(CostEvent::kFinalVerify);
   }
   auto y = assemble(*ctx_, x_, subset);
   if (y && verify_signature(*ctx_, x_, *y)) {
@@ -268,8 +268,8 @@ void SigningSession::try_assemble_subsets() {
     std::vector<SignatureShare> subset;
     for (unsigned idx : subset_idx) subset.push_back(plain_shares_.at(idx));
     if (cb_.charge) {
-      cb_.charge(CryptoOp::kAssemble);
-      cb_.charge(CryptoOp::kFinalVerify);
+      cb_.charge(CostEvent::kAssemble);
+      cb_.charge(CostEvent::kFinalVerify);
     }
     auto y = assemble(*ctx_, x_, subset);
     if (y && verify_signature(*ctx_, x_, *y)) {
@@ -292,8 +292,8 @@ void SigningSession::check_basic_progress() {
     if (subset.size() == need) break;
   }
   if (cb_.charge) {
-    cb_.charge(CryptoOp::kAssemble);
-    cb_.charge(CryptoOp::kFinalVerify);
+    cb_.charge(CostEvent::kAssemble);
+    cb_.charge(CostEvent::kFinalVerify);
   }
   auto y = assemble(*ctx_, x_, subset);
   if (y && verify_signature(*ctx_, x_, *y)) {

@@ -36,15 +36,25 @@ enum class SigProtocol : std::uint8_t { kBasic = 0, kOptProof = 1, kOptTE = 2 };
 
 const char* to_string(SigProtocol p);
 
-/// Crypto operations a session performs, reported through the cost hook so
-/// callers can account CPU time (see sim::CostModel and the paper's Table 3).
-enum class CryptoOp : std::uint8_t {
+/// Operations reported through the one cost hook every layer takes
+/// (signing sessions, the common coin, atomic broadcast, the replica), so
+/// callers can account CPU time (see sim::CostModel and the paper's
+/// Table 3).
+enum class CostEvent : std::uint8_t {
   kShareValue,   ///< computing x^{2*Delta*s_i}
   kProofGen,     ///< generating the correctness proof
   kProofVerify,  ///< verifying one share's proof
   kAssemble,     ///< Lagrange combination of t+1 shares
   kFinalVerify,  ///< checking y^e == x
+  kMessage,      ///< processing one protocol message
+  kAuthSign,     ///< authenticating an outgoing certificate vote
+  kAuthVerify,   ///< checking one authenticator
+  kDnsQuery,     ///< answering one DNS query
+  kDnsUpdate,    ///< one zone mutation, excluding signatures
+  kLocalSign,    ///< one signature with a local (non-threshold) key
 };
+inline constexpr std::size_t kCostEventCount =
+    static_cast<std::size_t>(CostEvent::kLocalSign) + 1;
 
 struct SessionCallbacks {
   /// Send a protocol message point-to-point to every other server.
@@ -52,7 +62,7 @@ struct SessionCallbacks {
   /// Invoked exactly once when the session completes with a valid signature.
   std::function<void(const bn::BigInt& y)> on_complete;
   /// Cost accounting hook; may be empty.
-  std::function<void(CryptoOp)> charge;
+  std::function<void(CostEvent)> charge;
   /// Metrics sink (owned by the caller, must outlive the session); null
   /// sessions count into a shared no-op sink.
   obs::Registry* metrics = nullptr;

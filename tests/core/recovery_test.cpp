@@ -6,6 +6,7 @@
 #include "core/service.hpp"
 #include "crypto/rsa.hpp"
 #include "dns/dnssec.hpp"
+#include "store/durable.hpp"
 #include "util/bytes.hpp"
 
 namespace sdns::core {
@@ -27,6 +28,34 @@ void partition_replica(ReplicatedService& svc, unsigned victim, bool blocked) {
   for (unsigned i = 0; i < svc.n(); ++i) {
     if (i != victim) svc.net().set_partitioned(victim, i, blocked);
   }
+}
+
+/// A replica-to-replica snapshot frame (tag 0x04) around the same envelope
+/// snapshot.bin holds, claiming `cursor` for every counter.
+util::Bytes snapshot_frame(std::uint64_t cursor, util::Bytes zone_wire) {
+  store::ZoneState state;
+  state.abcast_cursor = state.deliveries = state.update_counter = cursor;
+  state.zone_wire = std::move(zone_wire);
+  util::Writer frame;
+  frame.u8(0x04);
+  frame.raw(store::encode_zone_state(state));
+  return std::move(frame).take();
+}
+
+/// A zone signed under a key the forger made up, with one extra record.
+dns::Zone forge_zone() {
+  dns::Zone forged = dns::Zone::from_text(kOrigin, kZoneText);
+  dns::ResourceRecord rogue;
+  rogue.name = Name::parse("rogue.rec.example.");
+  rogue.type = RRType::kA;
+  rogue.ttl = 300;
+  rogue.rdata = dns::ARdata::from_text("192.0.2.66").encode();
+  forged.add_record(rogue);
+  util::Rng rng(99);
+  const crypto::RsaPrivateKey forger = crypto::rsa_generate(rng, 512);
+  dns::sign_zone(forged, forger.pub, 999'000, 999'000 + 365 * 24 * 3600,
+                 [&](util::BytesView data) { return crypto::rsa_sign_sha1(forger, data); });
+  return forged;
 }
 
 TEST(Recovery, PartitionedReplicaCatchesUpViaSnapshot) {
@@ -116,35 +145,59 @@ TEST(Recovery, SnapshotSignedUnderForgedKeyIsRejected) {
   svc.net().set_partitioned(3, 1, false);
   svc.net().set_partitioned(3, 2, false);
 
-  dns::Zone forged = dns::Zone::from_text(kOrigin, kZoneText);
-  dns::ResourceRecord rogue;
-  rogue.name = Name::parse("rogue.rec.example.");
-  rogue.type = RRType::kA;
-  rogue.ttl = 300;
-  rogue.rdata = dns::ARdata::from_text("192.0.2.66").encode();
-  forged.add_record(rogue);
-  util::Rng rng(99);
-  const crypto::RsaPrivateKey forger = crypto::rsa_generate(rng, 512);
-  dns::sign_zone(forged, forger.pub, 999'000, 999'000 + 365 * 24 * 3600,
-                 [&](util::BytesView data) { return crypto::rsa_sign_sha1(forger, data); });
+  const dns::Zone forged = forge_zone();
   ASSERT_TRUE(dns::verify_zone(forged).ok);
   ASSERT_FALSE(dns::verify_zone(forged, svc.zone_public_key()).ok);
 
   svc.replica(3).start_recovery();
   const std::uint64_t cursor = svc.replica(0).abcast().delivered_count() + 1000;
-  util::Writer frame;
-  frame.u8(0x04);  // snapshot frame: cursor, deliveries, update counter, zone
-  frame.u64(cursor);
-  frame.u64(cursor);
-  frame.u64(cursor);
-  frame.lp32(forged.to_wire());
-  svc.replica(3).on_replica_message(0, std::move(frame).take());
+  svc.replica(3).on_replica_message(0, snapshot_frame(cursor, forged.to_wire()));
   svc.settle();
 
   EXPECT_FALSE(svc.replica(3).recovering());
   const dns::Zone& zone = svc.replica(3).server().zone();
   EXPECT_FALSE(zone.name_exists(Name::parse("rogue.rec.example.")));
   EXPECT_TRUE(zone.name_exists(Name::parse("honest.rec.example.")));
+  EXPECT_EQ(zone.to_text(), svc.replica(1).server().zone().to_text());
+  const auto verify = dns::verify_zone(zone, svc.zone_public_key());
+  EXPECT_TRUE(verify.ok) << verify.first_error;
+}
+
+TEST(Recovery, RejectedCandidatesNeverCountTowardTheQuorum) {
+  // Candidates are verified once, on arrival; one that fails is discarded
+  // and must not stand in for a response. With t = 1 the replica needs two
+  // accepted responses: a forged-key zone from replica 0 and a genuine zone
+  // with a broken checksum from replica 2 leave only replica 1's honest
+  // snapshot, so recovery must wait on the old zone.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  ReplicatedService svc(opt, kOrigin, kZoneText);
+  partition_replica(svc, 3, true);
+  ASSERT_TRUE(svc.add_record(Name::parse("honest.rec.example."), "10.0.0.1").ok);
+  svc.settle();
+  svc.net().set_partitioned(3, 1, false);
+
+  svc.replica(3).start_recovery();
+  const std::uint64_t cursor = svc.replica(0).abcast().delivered_count() + 1000;
+  svc.replica(3).on_replica_message(0, snapshot_frame(cursor, forge_zone().to_wire()));
+  util::Bytes corrupt =
+      snapshot_frame(cursor, svc.replica(2).server().zone().to_wire());
+  corrupt.back() ^= 0x01;  // the fnv1a trailer
+  svc.replica(3).on_replica_message(2, corrupt);
+  svc.settle();
+  EXPECT_TRUE(svc.replica(3).recovering());
+  EXPECT_EQ(svc.replica(3).recoveries_completed(), 0u);
+  EXPECT_FALSE(svc.replica(3).server().zone().name_exists(
+      Name::parse("honest.rec.example.")));
+
+  // Healed, a fresh request gathers a quorum of honest answers.
+  partition_replica(svc, 3, false);
+  svc.replica(3).start_recovery();
+  svc.settle();
+  EXPECT_FALSE(svc.replica(3).recovering());
+  EXPECT_EQ(svc.replica(3).recoveries_completed(), 1u);
+  const dns::Zone& zone = svc.replica(3).server().zone();
+  EXPECT_FALSE(zone.name_exists(Name::parse("rogue.rec.example.")));
   EXPECT_EQ(zone.to_text(), svc.replica(1).server().zone().to_text());
   const auto verify = dns::verify_zone(zone, svc.zone_public_key());
   EXPECT_TRUE(verify.ok) << verify.first_error;

@@ -1,6 +1,6 @@
 // Authenticated replica mesh over real loopback TCP: handshake, both-way
-// delivery, pre-connection backlog, reconnect with backoff, and rejection
-// of unauthenticated peers.
+// delivery, pre-connection backlog, oversize-frame accounting, reconnect
+// with backoff, and rejection of unauthenticated peers.
 #include "net/mesh.hpp"
 
 #include <gtest/gtest.h>
@@ -29,13 +29,16 @@ struct TestMesh {
   std::unique_ptr<Mesh> mesh;
 
   TestMesh(EventLoop& loop, unsigned self, const std::vector<SockAddr>& peers,
-           const Bytes& secret, std::uint64_t seed) {
+           const Bytes& secret, std::uint64_t seed, obs::Registry* metrics = nullptr,
+           std::size_t write_cap = Mesh::Options{}.write_cap) {
     Mesh::Options opt;
     opt.self = self;
     opt.peers = peers;
     opt.mesh_secret = secret;
     opt.reconnect_min = 0.05;
     opt.reconnect_max = 0.2;
+    opt.metrics = metrics;
+    opt.write_cap = write_cap;
     mesh = std::make_unique<Mesh>(
         loop, opt,
         [this](unsigned from, Bytes msg) { received[from].push_back(std::move(msg)); },
@@ -98,6 +101,34 @@ TEST(Mesh, BacklogSentBeforeConnectIsDeliveredInOrder) {
     EXPECT_EQ(b.received[0][static_cast<std::size_t>(i)],
               util::to_bytes("m" + std::to_string(i)));
   }
+}
+
+TEST(Mesh, OversizeMessageIsCountedApartFromFairLossyDrops) {
+  // A frame larger than the write cap can never be sent, so it must show up
+  // under mesh.drops.oversize — on the backlog path before the link is up
+  // and on the established path after — and never as a fair-lossy drop.
+  EventLoop loop;
+  const Bytes secret = util::to_bytes("mesh secret");
+  std::vector<SockAddr> peers = {SockAddr::parse("127.0.0.1:0"),
+                                 SockAddr::parse("127.0.0.1:0")};
+  peers[0].port = free_port();
+  peers[1].port = free_port();
+  constexpr std::size_t kCap = 4096;
+  obs::Registry metrics;
+  TestMesh a(loop, 0, peers, secret, 1, &metrics, kCap);
+  a.mesh->send(1, Bytes(kCap, 0xAB));  // no peer yet: the backlog path
+  a.mesh->send(1, util::to_bytes("small"));
+  TestMesh b(loop, 1, peers, secret, 2);
+  drive(loop, [&] { return !b.received[0].empty(); });
+  ASSERT_TRUE(a.mesh->connected(1));
+  a.mesh->send(1, Bytes(kCap, 0xCD));  // the established path
+  a.mesh->send(1, util::to_bytes("after"));
+  drive(loop, [&] { return b.received[0].size() >= 2; });
+  ASSERT_EQ(b.received[0].size(), 2u);
+  EXPECT_EQ(b.received[0][0], util::to_bytes("small"));
+  EXPECT_EQ(b.received[0][1], util::to_bytes("after"));
+  EXPECT_EQ(metrics.counter("mesh.drops.oversize").value(), 2u);
+  EXPECT_EQ(metrics.counter("mesh.drops.fair_lossy").value(), 0u);
 }
 
 TEST(Mesh, ReconnectsAfterPeerRestart) {

@@ -220,12 +220,28 @@ TEST(CostModel, MatchesPaperTable3) {
   CostModel m;
   // Table 3: generate share 0.82 (= value + proof), verify 0.78, assemble
   // 0.05, verify signature 0.003.
-  EXPECT_NEAR(m.cost(threshold::CryptoOp::kShareValue) +
-                  m.cost(threshold::CryptoOp::kProofGen),
+  EXPECT_NEAR(m.cost(threshold::CostEvent::kShareValue) +
+                  m.cost(threshold::CostEvent::kProofGen),
               0.82, 1e-9);
-  EXPECT_NEAR(m.cost(threshold::CryptoOp::kProofVerify), 0.78, 1e-9);
-  EXPECT_NEAR(m.cost(threshold::CryptoOp::kAssemble), 0.05, 1e-9);
-  EXPECT_NEAR(m.cost(threshold::CryptoOp::kFinalVerify), 0.003, 1e-9);
+  EXPECT_NEAR(m.cost(threshold::CostEvent::kProofVerify), 0.78, 1e-9);
+  EXPECT_NEAR(m.cost(threshold::CostEvent::kAssemble), 0.05, 1e-9);
+  EXPECT_NEAR(m.cost(threshold::CostEvent::kFinalVerify), 0.003, 1e-9);
+}
+
+TEST(CostModel, PricesEveryEventOfTheOneHook) {
+  // The broadcast and DNS events the single charge hook reports cost what
+  // their named fields say, so one lambda can charge every layer.
+  CostModel m;
+  using E = threshold::CostEvent;
+  EXPECT_EQ(m.cost(E::kMessage), m.message_handle);
+  EXPECT_EQ(m.cost(E::kAuthSign), m.auth_sign);
+  EXPECT_EQ(m.cost(E::kAuthVerify), m.auth_verify);
+  EXPECT_EQ(m.cost(E::kDnsQuery), m.dns_query);
+  EXPECT_EQ(m.cost(E::kDnsUpdate), m.dns_update);
+  EXPECT_EQ(m.cost(E::kLocalSign), m.local_sign);
+  for (std::size_t e = 0; e < threshold::kCostEventCount; ++e) {
+    EXPECT_GT(m.cost(static_cast<E>(e)), 0.0) << "event " << e;
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ class Harness {
           if (j != i) queue_.push_back({j, m});
         }
       };
-      cb.charge = [this](CryptoOp op) { ++op_counts_[static_cast<int>(op)]; };
+      cb.charge = [this](CostEvent op) { ++op_counts_[static_cast<int>(op)]; };
       sessions_.push_back(std::make_unique<SigningSession>(
           key_.pub, key_.shares[i - 1], protocol, /*sid=*/77, x, std::move(cb),
           rng.fork(),
@@ -59,7 +59,7 @@ class Harness {
   const DealtKey& key() const { return key_; }
   const BigInt& x() const { return x_; }
   SigningSession& session(unsigned i) { return *sessions_[i - 1]; }
-  int op_count(CryptoOp op) const { return op_counts_[static_cast<int>(op)]; }
+  int op_count(CostEvent op) const { return op_counts_[static_cast<int>(op)]; }
   unsigned n() const { return n_; }
 
  private:
@@ -68,7 +68,7 @@ class Harness {
   BigInt x_;
   std::vector<std::unique_ptr<SigningSession>> sessions_;
   std::deque<std::pair<unsigned, Bytes>> queue_;
-  int op_counts_[8] = {};
+  int op_counts_[kCostEventCount] = {};
 };
 
 void expect_all_honest_complete(Harness& h, const std::vector<unsigned>& corrupted = {}) {
@@ -139,15 +139,15 @@ TEST_P(AllProtocols, DifferentSeedsStillSucceed) {
 TEST(ProtocolBasic, UsesProofsOnEveryShare) {
   Harness h(4, 1, SigProtocol::kBasic);
   h.run();
-  EXPECT_GT(h.op_count(CryptoOp::kProofGen), 0);
-  EXPECT_GT(h.op_count(CryptoOp::kProofVerify), 0);
+  EXPECT_GT(h.op_count(CostEvent::kProofGen), 0);
+  EXPECT_GT(h.op_count(CostEvent::kProofVerify), 0);
 }
 
 TEST(ProtocolOptProof, SkipsProofsWhenAllHonest) {
   Harness h(4, 1, SigProtocol::kOptProof);
   h.run();
-  EXPECT_EQ(h.op_count(CryptoOp::kProofGen), 0);
-  EXPECT_EQ(h.op_count(CryptoOp::kProofVerify), 0);
+  EXPECT_EQ(h.op_count(CostEvent::kProofGen), 0);
+  EXPECT_EQ(h.op_count(CostEvent::kProofVerify), 0);
 }
 
 TEST(ProtocolOptProof, FallsBackToProofsUnderCorruption) {
@@ -155,15 +155,15 @@ TEST(ProtocolOptProof, FallsBackToProofsUnderCorruption) {
   h.run();
   expect_all_honest_complete(h, {1});
   // The corrupted share forces at least one server into proof mode.
-  EXPECT_GT(h.op_count(CryptoOp::kProofGen), 0);
+  EXPECT_GT(h.op_count(CostEvent::kProofGen), 0);
 }
 
 TEST(ProtocolOptTE, NeverUsesProofs) {
   Harness h(7, 2, SigProtocol::kOptTE, {1, 2});
   h.run();
   expect_all_honest_complete(h, {1, 2});
-  EXPECT_EQ(h.op_count(CryptoOp::kProofGen), 0);
-  EXPECT_EQ(h.op_count(CryptoOp::kProofVerify), 0);
+  EXPECT_EQ(h.op_count(CostEvent::kProofGen), 0);
+  EXPECT_EQ(h.op_count(CostEvent::kProofVerify), 0);
 }
 
 TEST(ProtocolOptTE, CorruptionCostsExtraAssemblyAttempts) {
@@ -171,7 +171,7 @@ TEST(ProtocolOptTE, CorruptionCostsExtraAssemblyAttempts) {
   clean.run();
   Harness dirty(7, 2, SigProtocol::kOptTE, {1, 2});
   dirty.run();
-  EXPECT_GT(dirty.op_count(CryptoOp::kAssemble), clean.op_count(CryptoOp::kAssemble));
+  EXPECT_GT(dirty.op_count(CostEvent::kAssemble), clean.op_count(CostEvent::kAssemble));
 }
 
 TEST(Protocol, MalformedMessagesAreIgnored) {
