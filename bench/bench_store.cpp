@@ -12,13 +12,19 @@
 //      stashed in ZoneState::verified_zone exactly as sdnsd does) in place.
 //      Each row also times the legacy v1 zone encoding's parse so the
 //      SDNSZONE2 bulk-load speedup stays visible in the JSON.
+//   4. Update-path scaling — per-update cost of apply_update + every
+//      install_signature + finalize_journal on signed zones of 10k / 100k /
+//      1M RRsets (NXT and SIG RRsets counted), alternating adds and deletes.
+//      A stub signer stands in for the threshold protocol: this path never
+//      verifies, so the numbers are the zone bookkeeping alone.
 //
 //   bench_store [--dir DIR] [--records N] [--quick] [--json FILE]
 //               [--threads N] [--max-parse-us N]
 //
 // --dir points at the filesystem under test (default: a fresh /tmp dir —
 // NOTE: tmpfs fsyncs are free; point at a real disk for honest numbers).
-// --quick caps the cold-restart sweep at 100k RRsets for CI smoke runs.
+// --quick caps the cold-restart and update sweeps at 100k RRsets for CI
+// smoke runs.
 // --threads forwards to Zone::from_wire (0 = hardware concurrency).
 // --max-parse-us N exits nonzero if the 100k-RRset row's v2 zone parse
 // exceeds N microseconds — the CI perf-smoke regression gate.
@@ -33,9 +39,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "crypto/rsa.hpp"
+#include "dns/server.hpp"
 #include "dns/zone.hpp"
 #include "store/durable.hpp"
 #include "util/fileio.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -211,6 +220,85 @@ RestartRow bench_restart(const std::string& base, std::size_t rrsets,
   return row;
 }
 
+struct UpdateRow {
+  std::size_t rrsets = 0;  ///< after signing: data, NXT and SIG RRsets
+  std::size_t updates = 0;
+  std::size_t sigs_per_add = 0;
+  std::size_t sigs_per_del = 0;
+  LatencySummary us;  ///< per update, apply through finalize_journal
+  double max_us = 0;
+};
+
+sdns::dns::Message host_update(const Name& origin, const Name& host, bool add) {
+  sdns::dns::Message m;
+  m.opcode = sdns::dns::Opcode::kUpdate;
+  m.questions.push_back({origin, sdns::dns::RRType::kSOA, sdns::dns::RRClass::kIN});
+  sdns::dns::ResourceRecord rr;
+  rr.name = host;
+  rr.type = sdns::dns::RRType::kA;
+  if (add) {
+    rr.ttl = 300;
+    rr.rdata = {192, 0, 2, 1};
+  } else {
+    rr.klass = sdns::dns::RRClass::kANY;  // delete the RRset
+  }
+  m.updates().push_back(rr);
+  return m;
+}
+
+/// A signed zone of about `rrsets` RRsets (per host: an A record, its NXT
+/// and their SIGs), then `updates` alternating updates: add an A record at
+/// a new name beside a random host, then delete it again.
+UpdateRow bench_update_path(std::size_t rrsets, std::size_t updates) {
+  const Name origin = Name::parse("bench.example.");
+  sdns::dns::Zone zone = sdns::dns::Zone::from_text(
+      origin,
+      "@ 3600 IN SOA ns1.bench.example. op.bench.example. 1 7200 3600 1209600 "
+      "3600\n@ 3600 IN NS ns1.bench.example.\n");
+  const std::size_t hosts = rrsets / 3;
+  sdns::dns::ResourceRecord rr;
+  rr.type = sdns::dns::RRType::kA;
+  rr.ttl = 300;
+  for (std::size_t i = 0; i < hosts; ++i) {
+    rr.name = Name::parse("h" + std::to_string(i) + ".bench.example.");
+    const std::uint32_t a = static_cast<std::uint32_t>(i);
+    rr.rdata = {10, static_cast<std::uint8_t>(a >> 16),
+                static_cast<std::uint8_t>(a >> 8), static_cast<std::uint8_t>(a)};
+    zone.add_record(rr);
+  }
+  sdns::util::Rng rng(16);
+  const auto key = sdns::crypto::rsa_generate(rng, 512);
+  const Bytes stub(64, 0xA5);
+  const auto sign = [&](BytesView) { return stub; };
+  sdns::dns::sign_zone(zone, key.pub, 1, 0x7fffffff, sign);
+  sdns::dns::AuthoritativeServer server(std::move(zone));
+
+  UpdateRow row;
+  row.rrsets = server.zone().rrset_count();
+  row.updates = updates;
+  std::vector<double> us;
+  us.reserve(updates);
+  Name host;
+  for (std::size_t i = 0; i < updates; ++i) {
+    const bool add = i % 2 == 0;
+    if (add) {
+      host = Name::parse("h" + std::to_string(rng.below(hosts)) + "u.bench.example.");
+    }
+    const sdns::dns::Message m = host_update(origin, host, add);
+    const double t0 = now_s();
+    const sdns::dns::UpdateResult res =
+        server.apply_update(m, 1000 + static_cast<std::uint32_t>(i));
+    for (const auto& task : res.sig_tasks) server.install_signature(task, stub);
+    server.finalize_journal();
+    us.push_back((now_s() - t0) * 1e6);
+    if (res.rcode != sdns::dns::Rcode::kNoError) std::abort();
+    (add ? row.sigs_per_add : row.sigs_per_del) = res.sig_tasks.size();
+  }
+  row.us = LatencySummary::of(us);
+  for (const double v : us) row.max_us = std::max(row.max_us, v);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,6 +392,28 @@ int main(int argc, char** argv) {
         first ? "" : ",\n", row.rrsets, row.zone_bytes, row.snapshot_bytes,
         row.wal_tail, row.parse_threads, row.zone_parse_us, row.zone_parse_v1_us,
         row.zone_parse_ms, row.open_ms);
+    json << buf;
+    first = false;
+  }
+  json << "\n  ],\n  \"update_path\": [\n";
+
+  std::vector<std::size_t> update_sweep = {10000, 100000, 1000000};
+  if (quick) update_sweep.pop_back();
+  first = true;
+  for (const std::size_t rrsets : update_sweep) {
+    const UpdateRow row = bench_update_path(rrsets, 200);
+    std::printf(
+        "update %8zu rrsets  %zu updates  sigs add/del %zu/%zu  "
+        "p50/p99/max %.1f/%.1f/%.1f us\n",
+        row.rrsets, row.updates, row.sigs_per_add, row.sigs_per_del, row.us.p50,
+        row.us.p99, row.max_us);
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "%s    {\"rrsets\": %zu, \"updates\": %zu, \"sigs_per_add\": %zu, "
+                  "\"sigs_per_del\": %zu, \"update_us\": {\"p50\": %.1f, "
+                  "\"p99\": %.1f, \"mean\": %.1f, \"max\": %.1f}}",
+                  first ? "" : ",\n", row.rrsets, row.updates, row.sigs_per_add,
+                  row.sigs_per_del, row.us.p50, row.us.p99, row.us.mean, row.max_us);
     json << buf;
     first = false;
   }

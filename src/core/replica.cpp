@@ -632,6 +632,8 @@ void ReplicaNode::execute(const Bytes& payload) {
     return;
   }
   if (request.opcode == dns::Opcode::kUpdate) {
+    c_update_batches_->inc();  // a lone update is a batch of one
+    h_update_batch_size_->observe(1);
     run_update(client, request);
   } else {
     run_query(client, request);
@@ -690,12 +692,12 @@ void ReplicaNode::complete_update() {
   execute_next();
 }
 
-void ReplicaNode::note_zone_mutated() {
+void ReplicaNode::note_zone_mutated(bool committed) {
   if (current_batch_) {
     current_batch_->dirty = true;
     return;
   }
-  bump_zone_generation();
+  bump_zone_generation(committed);
 }
 
 void ReplicaNode::respond_update(ClientId client, const dns::Message& response) {
@@ -727,7 +729,7 @@ void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
   // a fresh answer with a stale generation. Inside a batch both the bump
   // and the responses are deferred to finish_batch(), which preserves the
   // same ordering at batch granularity.
-  if (result.rcode == dns::Rcode::kNoError) note_zone_mutated();
+  if (result.rcode == dns::Rcode::kNoError) note_zone_mutated(result.sig_tasks.empty());
   if (result.rcode != dns::Rcode::kNoError || result.sig_tasks.empty()) {
     respond_update(client,
                    dns::AuthoritativeServer::update_response(request, result.rcode));
@@ -743,7 +745,7 @@ void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
       c_signatures_->inc();
     }
     server_.finalize_journal();
-    note_zone_mutated();
+    note_zone_mutated(true);
     respond_update(client, dns::AuthoritativeServer::update_response(
                                request, dns::Rcode::kNoError));
     complete_update();
@@ -775,7 +777,7 @@ void ReplicaNode::start_next_signature() {
   scb.on_complete = [this, index](const bn::BigInt& y) {
     PendingUpdate& u = *current_update_;
     server_.install_signature(u.tasks[index], threshold::signature_bytes(*zone_key_, y));
-    note_zone_mutated();
+    note_zone_mutated(index + 1 == u.tasks.size());
     ++signatures_computed_;
     c_signatures_->inc();
     last_finished_sid_ = signing_->session_id();
@@ -849,14 +851,14 @@ void ReplicaNode::finish_update() {
   complete_update();
 }
 
-void ReplicaNode::bump_zone_generation() {
+void ReplicaNode::bump_zone_generation(bool committed) {
   // Release pairs with the acquire load in the frontend shards: by the time
   // a shard observes the new generation, the mutation that caused it has
   // already happened-before on this (the only mutating) thread.
   const auto next =
       zone_generation_.fetch_add(1, std::memory_order_release) + 1;
   metrics_->gauge("replica.zone_gen").set(static_cast<std::int64_t>(next));
-  if (cb_.zone_committed) cb_.zone_committed(next);
+  if (committed && cb_.zone_committed) cb_.zone_committed(next);
 }
 
 void ReplicaNode::respond(ClientId client, const dns::Message& response) {

@@ -41,10 +41,11 @@ class ReplicaNode {
     std::function<void(ClientId, const util::Bytes&)> send_client;
     std::function<double()> now;
     std::function<void(double, std::function<void()>)> set_timer;
-    /// Fired (optional) after every zone-generation bump with the new value
-    /// — the commit points: an applied update batch, an installed threshold
-    /// signature, a recovery or disk-restore reinstall. The runtime hangs
-    /// RFC 1996 NOTIFY fan-out off this.
+    /// Fired (optional) with the new zone generation at each commit point:
+    /// an update batch or lone update whose signatures are all installed, a
+    /// recovery or disk-restore reinstall, a key-share refresh. Generation
+    /// bumps in the middle of a signing session do not fire it. The runtime
+    /// hangs RFC 1996 NOTIFY fan-out off this.
     std::function<void(std::uint64_t)> zone_committed;
     /// Cost hook (optional): every CPU-costed operation of this replica and
     /// of the protocols below it.
@@ -185,7 +186,9 @@ class ReplicaNode {
   void finish_update();
   void respond(ClientId client, const dns::Message& response);
   std::uint64_t next_session_id();
-  void bump_zone_generation();
+  /// `committed`: the zone is complete (no signature still pending), so
+  /// zone_committed fires.
+  void bump_zone_generation(bool committed = true);
   void charge(threshold::CostEvent e) {
     if (cb_.charge) cb_.charge(e);
   }
@@ -194,7 +197,7 @@ class ReplicaNode {
   void continue_batch();
   void finish_batch();
   void complete_update();
-  void note_zone_mutated();
+  void note_zone_mutated(bool committed);
   void respond_update(ClientId client, const dns::Message& response);
 
   ReplicaConfig config_;

@@ -1,6 +1,7 @@
 #include "dns/server.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "util/log.hpp"
@@ -81,22 +82,26 @@ void AuthoritativeServer::add_additionals(Message& response) const {
   }
 }
 
-std::map<std::string, ResourceRecord> AuthoritativeServer::snapshot_records(
-    const Zone& zone) {
-  std::map<std::string, ResourceRecord> out;
-  for (auto& rr : zone.all_records()) {
-    util::Writer key;
-    rr.to_canonical_wire(key);
-    out.emplace(util::to_string(key.bytes()), std::move(rr));
-  }
-  return out;
-}
-
 void AuthoritativeServer::finalize_journal() {
-  if (!capture_) return;
-  auto before = std::move(*capture_);
-  capture_.reset();
-  auto after = snapshot_records(zone_);
+  const std::optional<Zone::PreImages> touched = zone_.end_capture();
+  if (!touched) return;
+  // Only captured owners can differ, so their diff is the whole-zone diff.
+  // Records are keyed by canonical wire, the order IXFR has always used.
+  std::map<std::string, ResourceRecord> before;
+  std::map<std::string, ResourceRecord> after;
+  const auto keyed = [](std::map<std::string, ResourceRecord>& out, const RRset& rrset) {
+    for (auto& rr : rrset.to_records()) {
+      util::Writer key;
+      rr.to_canonical_wire(key);
+      out.emplace(util::to_string(key.bytes()), std::move(rr));
+    }
+  };
+  for (const auto& [owner, pre] : *touched) {
+    if (pre) {
+      for (const auto& [type, rrset] : *pre) keyed(before, rrset);
+    }
+    for (const auto& rrset : zone_.rrsets_at(owner)) keyed(after, rrset);
+  }
   JournalEntry entry;
   for (const auto& [key, rr] : before) {
     if (rr.type == RRType::kSOA) {
@@ -501,7 +506,7 @@ UpdateResult AuthoritativeServer::apply_update(const Message& update, std::uint3
   }
 
   // ---- apply (RFC 2136 §3.4.2) ----
-  capture_ = snapshot_records(zone_);  // journal baseline for IXFR
+  zone_.begin_capture();  // journal pre-images for IXFR, owners for NXT
   std::set<std::pair<std::string, std::uint16_t>> touched;
   auto touch = [&](const Name& name, RRType type) {
     touched.insert({name.to_string(), static_cast<std::uint16_t>(type)});
@@ -581,7 +586,7 @@ UpdateResult AuthoritativeServer::apply_update(const Message& update, std::uint3
   }
 
   if (touched.empty()) {
-    capture_.reset();                // nothing changed: no journal entry
+    zone_.end_capture();             // nothing changed: no journal entry
     result.rcode = Rcode::kNoError;  // no-op update succeeds
     return result;
   }
@@ -604,12 +609,9 @@ UpdateResult AuthoritativeServer::apply_update(const Message& update, std::uint3
     return result;
   }
 
-  // NXT chain maintenance adds its own changed RRsets.
-  std::vector<Name> nxt_changed = zone_.rebuild_nxt_chain();
-  // Remove NXT at deleted names happens implicitly (name removal drops all
-  // rrsets); but a deleted name may leave a stale NXT if other types remain —
-  // rebuild handles that too.
-  for (const auto& n : nxt_changed) {
+  // NXT chain maintenance adds its own changed RRsets: the touched owners
+  // and their predecessors, never a walk of the whole chain.
+  for (const auto& n : zone_.refresh_nxt_chain()) {
     touched.insert({n.to_string(), static_cast<std::uint16_t>(RRType::kNXT)});
     zone_.remove_sigs(n, RRType::kNXT);
   }

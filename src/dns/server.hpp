@@ -6,7 +6,7 @@
 // serial maintenance).
 //
 // Updates in a *signed* zone do not synchronously produce signatures:
-// apply_update() mutates the zone data, rebuilds the NXT chain, and returns
+// apply_update() mutates the zone data, repairs the NXT chain, and returns
 // the list of SigTasks that must be completed (by a local key or by the
 // threshold protocol) before the update is fully committed.  This split is
 // exactly the hook the paper's Wrapper uses: "The signature routine of named
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <optional>
 
 #include "dns/dnssec.hpp"
@@ -100,9 +99,11 @@ class AuthoritativeServer {
   /// Keep at most this many entries (older serials fall back to AXFR).
   void set_journal_limit(std::size_t limit) { journal_limit_ = limit; }
   const std::deque<JournalEntry>& journal() const { return journal_; }
-  /// Commit the pending journal capture. apply_update() calls this itself
-  /// when an update needs no signatures; otherwise the caller finalizes
-  /// after installing the last SIG so the diff includes the new signatures.
+  /// Commit the pending journal capture: the records of the owners the
+  /// update touched, diffed against their pre-images. apply_update() calls
+  /// this itself when an update needs no signatures; otherwise the caller
+  /// finalizes after installing the last SIG so the diff includes the new
+  /// signatures.
   void finalize_journal();
 
  private:
@@ -123,9 +124,6 @@ class AuthoritativeServer {
   // Journal state.
   std::deque<JournalEntry> journal_;
   std::size_t journal_limit_ = 64;
-  /// Snapshot taken at the start of a mutating update, keyed for diffing.
-  std::optional<std::map<std::string, ResourceRecord>> capture_;
-  static std::map<std::string, ResourceRecord> snapshot_records(const Zone& zone);
 };
 
 }  // namespace sdns::dns

@@ -42,6 +42,7 @@ Name Zone::predecessor(const Name& name) const {
 }
 
 void Zone::add_record(const ResourceRecord& rr) {
+  record(rr.name);
   auto& rrset = data_[rr.name][rr.type];
   rrset.name = rr.name;
   rrset.type = rr.type;
@@ -53,6 +54,7 @@ void Zone::add_record(const ResourceRecord& rr) {
 }
 
 bool Zone::remove_rrset(const Name& name, RRType type) {
+  record(name);
   auto it = data_.find(name);
   if (it == data_.end()) return false;
   const bool removed = it->second.erase(type) != 0;
@@ -61,6 +63,7 @@ bool Zone::remove_rrset(const Name& name, RRType type) {
 }
 
 bool Zone::remove_record(const Name& name, RRType type, BytesView rdata) {
+  record(name);
   auto it = data_.find(name);
   if (it == data_.end()) return false;
   auto jt = it->second.find(type);
@@ -77,7 +80,10 @@ bool Zone::remove_record(const Name& name, RRType type, BytesView rdata) {
   return true;
 }
 
-bool Zone::remove_name(const Name& name) { return data_.erase(name) != 0; }
+bool Zone::remove_name(const Name& name) {
+  record(name);
+  return data_.erase(name) != 0;
+}
 
 std::optional<SoaRdata> Zone::soa() const {
   const RRset* rrset = find(origin_, RRType::kSOA);
@@ -86,6 +92,7 @@ std::optional<SoaRdata> Zone::soa() const {
 }
 
 void Zone::bump_serial() {
+  record(origin_);
   auto it = data_.find(origin_);
   if (it == data_.end()) throw std::logic_error("zone has no SOA");
   auto jt = it->second.find(RRType::kSOA);
@@ -124,69 +131,108 @@ std::size_t Zone::rrset_count() const {
   return n;
 }
 
-std::vector<Name> Zone::rebuild_nxt_chain() {
-  std::vector<Name> changed;
-  // Names holding only DNSSEC meta-records (NXT/SIG) are empty: they leave
-  // the zone and the chain entirely.
-  for (auto it = data_.begin(); it != data_.end();) {
-    bool only_meta = true;
-    for (const auto& [type, rrset] : it->second) {
-      if (type != RRType::kNXT && type != RRType::kSIG) {
-        only_meta = false;
-        break;
-      }
+namespace {
+
+/// Names holding only DNSSEC meta-records (NXT/SIG) are empty: they leave
+/// the zone and the chain entirely.
+bool only_meta(const Zone::TypeMap& types) {
+  for (const auto& [type, rrset] : types) {
+    if (type != RRType::kNXT && type != RRType::kSIG) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void Zone::record(const Name& name) {
+  if (!capture_) return;
+  const auto [slot, first] = capture_->try_emplace(name);
+  if (!first) return;
+  if (auto it = data_.find(name); it != data_.end()) slot->second = it->second;
+}
+
+std::uint32_t Zone::nxt_ttl() const {
+  auto s = soa();
+  return s ? s->minimum : 300u;
+}
+
+bool Zone::set_nxt(DataMap::iterator owner, std::uint32_t ttl) {
+  TypeMap& types = owner->second;
+  const auto next = std::next(owner);
+  NxtRdata nxt;
+  nxt.next = (next == data_.end() ? data_.begin() : next)->first;
+  for (const auto& [type, rrset] : types) {
+    if (static_cast<std::uint16_t>(type) <= 127 && type != RRType::kNXT) {
+      nxt.types.push_back(type);
     }
-    if (only_meta) {
+  }
+  nxt.types.push_back(RRType::kNXT);
+  if (std::find(nxt.types.begin(), nxt.types.end(), RRType::kSIG) == nxt.types.end()) {
+    nxt.types.push_back(RRType::kSIG);
+  }
+  std::sort(nxt.types.begin(), nxt.types.end());
+  Bytes encoded = nxt.encode();
+  auto jt = types.find(RRType::kNXT);
+  if (jt != types.end() && jt->second.rdatas.size() == 1 &&
+      jt->second.rdatas.front() == encoded) {
+    return false;
+  }
+  record(owner->first);
+  RRset rrset;
+  rrset.name = owner->first;
+  rrset.type = RRType::kNXT;
+  rrset.ttl = ttl;
+  rrset.rdatas = {std::move(encoded)};
+  types[RRType::kNXT] = std::move(rrset);
+  return true;
+}
+
+std::vector<Name> Zone::rebuild_nxt_chain() {
+  for (auto it = data_.begin(); it != data_.end();) {
+    if (only_meta(it->second)) {
+      record(it->first);
       it = data_.erase(it);
     } else {
       ++it;
     }
   }
-  if (data_.empty()) return changed;
-  // Gather owner names (all existing names participate in the chain).
-  std::vector<const Name*> owners;
-  owners.reserve(data_.size());
-  for (const auto& [name, types] : data_) owners.push_back(&name);
+  std::vector<Name> changed;
+  const std::uint32_t ttl = nxt_ttl();
+  for (auto it = data_.begin(); it != data_.end(); ++it) {
+    if (set_nxt(it, ttl)) changed.push_back(it->first);
+  }
+  return changed;
+}
 
-  const std::uint32_t nxt_ttl = [&] {
-    auto s = soa();
-    return s ? s->minimum : 300u;
-  }();
-
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    const Name& owner = *owners[i];
-    const Name& next = *owners[(i + 1) % owners.size()];
-    auto& types_at_owner = data_.find(owner)->second;
-    NxtRdata nxt;
-    nxt.next = next;
-    for (const auto& [type, rrset] : types_at_owner) {
-      if (static_cast<std::uint16_t>(type) <= 127 && type != RRType::kNXT) {
-        nxt.types.push_back(type);
-      }
-    }
-    nxt.types.push_back(RRType::kNXT);
-    if (std::find(nxt.types.begin(), nxt.types.end(), RRType::kSIG) == nxt.types.end()) {
-      nxt.types.push_back(RRType::kSIG);
-    }
-    std::sort(nxt.types.begin(), nxt.types.end());
-    const Bytes encoded = nxt.encode();
-    auto jt = types_at_owner.find(RRType::kNXT);
-    if (jt != types_at_owner.end() && jt->second.rdatas.size() == 1 &&
-        jt->second.rdatas.front() == encoded) {
-      continue;  // unchanged
-    }
-    RRset rrset;
-    rrset.name = owner;
-    rrset.type = RRType::kNXT;
-    rrset.ttl = nxt_ttl;
-    rrset.rdatas = {encoded};
-    types_at_owner[RRType::kNXT] = std::move(rrset);
-    changed.push_back(owner);
+std::vector<Name> Zone::refresh_nxt_chain() {
+  std::vector<Name> changed;
+  if (!capture_) return changed;
+  for (const auto& [name, before] : *capture_) {
+    auto it = data_.find(name);
+    if (it != data_.end() && only_meta(it->second)) data_.erase(it);
+  }
+  // An owner's NXT depends on its own types and on its successor, so only
+  // touched owners and the names just before them can change. The apex has
+  // no predecessor to repair: the last name's NXT always names the apex.
+  std::vector<DataMap::iterator> owners;
+  for (const auto& [name, before] : *capture_) {
+    auto it = data_.lower_bound(name);
+    if (it != data_.end() && !data_.key_comp()(name, it->first)) owners.push_back(it);
+    if (it != data_.begin()) owners.push_back(std::prev(it));
+  }
+  std::sort(owners.begin(), owners.end(), [&](const auto& a, const auto& b) {
+    return data_.key_comp()(a->first, b->first);
+  });
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  const std::uint32_t ttl = nxt_ttl();
+  for (const auto& it : owners) {
+    if (set_nxt(it, ttl)) changed.push_back(it->first);
   }
   return changed;
 }
 
 void Zone::remove_sigs(const Name& name, RRType covered) {
+  record(name);
   auto it = data_.find(name);
   if (it == data_.end()) return;
   auto jt = it->second.find(RRType::kSIG);

@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dns/rr.hpp"
@@ -81,8 +82,27 @@ class Zone {
   /// including the NXT and SIG types themselves). Returns the owner names
   /// whose NXT record changed or was created; removes NXT records at names
   /// that vanished. Names above 127 in the type registry are skipped in the
-  /// bitmap (none of our supported types are).
+  /// bitmap (none of our supported types are). O(zone): sign_zone and tests
+  /// use it; the update path uses refresh_nxt_chain.
   std::vector<Name> rebuild_nxt_chain();
+
+  // ---- change capture (IXFR journal pre-images, incremental NXT) ----
+  /// Each owner a mutator touched since begin_capture(), mapped to its types
+  /// as they were before the first touch (nullopt: the owner did not exist).
+  /// Every mutator above, remove_sigs and both NXT passes record into it.
+  using PreImages = std::map<Name, std::optional<TypeMap>, CanonicalLess>;
+  /// Start recording pre-images, discarding any capture still open.
+  void begin_capture() { capture_.emplace(); }
+  /// Close the capture and return it (nullopt if none was open).
+  std::optional<PreImages> end_capture() { return std::exchange(capture_, std::nullopt); }
+
+  /// rebuild_nxt_chain restricted to what the open capture recorded: drops
+  /// touched owners left holding only NXT/SIG, then recomputes the NXT at
+  /// every touched owner that remains and at the canonical predecessor of
+  /// every touched owner. On a zone whose chain was whole before the capture
+  /// opened, the result equals a full rebuild at O(k log n) for k touched
+  /// owners.
+  std::vector<Name> refresh_nxt_chain();
 
   /// Drop all SIG records covering `type` at `name`. Malformed SIG rdata is
   /// also dropped (it can never verify) but counted in
@@ -139,9 +159,17 @@ class Zone {
   static Zone from_wire_v1(util::BytesView data);
   static Zone from_wire_v2(util::BytesView data, unsigned threads);
 
+  /// Save `name`'s pre-image if a capture is open and this is its first touch.
+  void record(const Name& name);
+  /// Store the NXT for `owner`, naming its canonical successor (the first
+  /// name after the last); true if its rdata changed.
+  bool set_nxt(DataMap::iterator owner, std::uint32_t ttl);
+  std::uint32_t nxt_ttl() const;
+
   Name origin_;
   DataMap data_;
   std::uint64_t malformed_sigs_dropped_ = 0;
+  std::optional<PreImages> capture_;
 };
 
 }  // namespace sdns::dns

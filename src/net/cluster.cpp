@@ -1,6 +1,9 @@
 #include "net/cluster.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <sstream>
@@ -191,5 +194,24 @@ ClusterFiles generate_cluster(const std::string& dir, const ClusterOptions& opt)
   }
   return out;
 }
+
+PortBlock::PortBlock() {
+  constexpr unsigned kFirst = 20000;
+  constexpr unsigned kEnd = 32768;
+  for (unsigned base = kFirst; base + kPorts <= kEnd; base += kPorts) {
+    const std::string path = "/tmp/sdns-ports-" + std::to_string(base) + ".lock";
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0666);
+    if (fd < 0) continue;
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0) {
+      fd_ = fd;
+      base_ = static_cast<std::uint16_t>(base);
+      return;
+    }
+    ::close(fd);
+  }
+  throw NetError("no free port block in [20000, 32768)");
+}
+
+PortBlock::~PortBlock() { ::close(fd_); }
 
 }  // namespace sdns::net

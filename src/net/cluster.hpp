@@ -65,4 +65,27 @@ struct ClusterFiles {
 /// already exist). Throws NetError / std::logic_error on failure.
 ClusterFiles generate_cluster(const std::string& dir, const ClusterOptions& options);
 
+/// Sixteen consecutive loopback ports this process, and every child it
+/// forks, holds exclusively until destruction: enough for a test cluster's
+/// DNS, mesh and edge listeners. Blocks lie in [20000, 32768), below the
+/// kernel's default ephemeral range (32768-60999), so no outbound socket is
+/// ever handed one of them; an flock(2) on a per-block lock file in /tmp
+/// keeps concurrent holders (parallel ctest jobs) apart. Throws NetError
+/// when every block is held.
+class PortBlock {
+ public:
+  static constexpr std::uint16_t kPorts = 16;
+
+  PortBlock();
+  ~PortBlock();
+  PortBlock(const PortBlock&) = delete;
+  PortBlock& operator=(const PortBlock&) = delete;
+
+  std::uint16_t base() const { return base_; }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t base_ = 0;
+};
+
 }  // namespace sdns::net

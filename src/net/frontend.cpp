@@ -213,12 +213,22 @@ DnsFrontend::~DnsFrontend() {
 }
 
 void DnsFrontend::start() {
-  udp_fd_ = udp_bind(opt_.listen, opt_.reuseport);
   // TCP binds the same port the UDP socket resolved (when listen.port == 0,
-  // tests let the kernel pick — both transports must share the number).
-  SockAddr tcp_addr = local_addr(udp_fd_);
-  tcp_addr.ip = opt_.listen.ip;
-  listen_fd_ = tcp_listen(tcp_addr, opt_.reuseport);
+  // tests let the kernel pick — both transports must share the number). The
+  // kernel picks a port free for UDP only, and a TCP socket may hold that
+  // number already; a port-0 listener then takes the kernel's next pick.
+  for (int pick = 1;; ++pick) {
+    udp_fd_ = udp_bind(opt_.listen, opt_.reuseport);
+    SockAddr tcp_addr = local_addr(udp_fd_);
+    tcp_addr.ip = opt_.listen.ip;
+    try {
+      listen_fd_ = tcp_listen(tcp_addr, opt_.reuseport);
+      break;
+    } catch (const NetError&) {
+      ::close(udp_fd_);
+      if (opt_.listen.port != 0 || pick == 8) throw;
+    }
+  }
   loop_.add_fd(udp_fd_, EventLoop::kReadable, [this](std::uint32_t) { on_udp_ready(); });
   loop_.add_fd(listen_fd_, EventLoop::kReadable,
                [this](std::uint32_t) { on_listener_ready(); });

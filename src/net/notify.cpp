@@ -41,7 +41,14 @@ void Notifier::on_commit() {
   if (opt_.edges.empty()) return;
   dirty_ = true;
   if (debounce_timer_) return;  // a round is already scheduled
-  debounce_timer_ = loop_.add_timer(opt_.debounce, [this] {
+  // The first commit after a quiet spell goes out at once; commits that
+  // follow within `debounce` of a round share the next one.
+  const double wait = last_round_ + opt_.debounce - loop_.now();
+  if (wait <= 0) {
+    fire_round();
+    return;
+  }
+  debounce_timer_ = loop_.add_timer(wait, [this] {
     debounce_timer_ = 0;
     fire_round();
   });
@@ -50,6 +57,7 @@ void Notifier::on_commit() {
 void Notifier::fire_round() {
   if (!dirty_) return;
   dirty_ = false;
+  last_round_ = loop_.now();
   ++round_;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     Pending& p = pending_[i];

@@ -1,14 +1,14 @@
 // RFC 1996 NOTIFY fan-out — the primary half of the replication edge.
 //
-// A replica commits zone changes through bump_zone_generation(); the runtime
-// hangs a Notifier off that hook. Each commit schedules a NOTIFY round to
-// the configured edge list over UDP: bursts of commits (a group-committed
-// update batch bumps once, but its signature installs bump again) are
-// debounced into one round, and each edge is retried with exponential
-// backoff until it acknowledges (RFC 1996 §4.7: a response with the same id,
-// qr set, opcode NOTIFY) or the attempt budget runs out. A newer round
-// supersedes an older one's pending retries — the edge will IXFR to the
-// newest serial either way.
+// A replica reports each commit point (an update or batch whose signatures
+// are all installed, a state reinstall); the runtime hangs a Notifier off
+// that hook. A commit after a quiet spell sends a NOTIFY round to the
+// configured edge list over UDP at once; further commits within the
+// debounce interval share one later round. Each edge is retried with
+// exponential backoff until it acknowledges (RFC 1996 §4.7: a response with
+// the same id, qr set, opcode NOTIFY) or the attempt budget runs out. A
+// newer round supersedes an older one's pending retries — the edge will
+// IXFR to the newest serial either way.
 //
 // Thread confinement: everything here runs on the owning event loop; the
 // runtime posts commit signals from other threads if it has to.
@@ -31,7 +31,7 @@ class Notifier {
   struct Options {
     std::vector<SockAddr> edges;
     dns::Name zone;
-    double debounce = 0.05;      ///< coalesce bursts of commits into a round
+    double debounce = 0.05;      ///< at most one round per this many seconds
     double retry_timeout = 0.5;  ///< first retransmit delay; doubles per try
     unsigned max_attempts = 5;   ///< sends per edge per round
     obs::Registry* metrics = nullptr;
@@ -72,6 +72,7 @@ class Notifier {
   bool dirty_ = false;
   EventLoop::TimerId debounce_timer_ = 0;
   std::uint64_t round_ = 0;
+  double last_round_ = -1e9;  ///< loop time of the last round fired
   std::vector<Pending> pending_;  ///< one slot per edge
   std::uint16_t next_id_ = 0x4e46;  // "NF"
 

@@ -96,13 +96,11 @@ WireCluster::WireCluster(Options options) : opt_(options) {
   copt.seed = opt_.key_seed;
   copt.durable = opt_.durable;
   copt.require_tsig = false;  // chaos workloads update without TSIG
-  // Pid-spread ports in [52000, 64480) — disjoint from the cluster_test
-  // range [20000, 52000) so parallel ctest runs never collide. The fixed
-  // 8-port dns/mesh split supports n <= 8 (internet-7 campaigns fit).
-  const std::uint16_t base =
-      static_cast<std::uint16_t>(52000 + (::getpid() % 780) * 16);
-  copt.dns_base_port = base;
-  copt.mesh_base_port = static_cast<std::uint16_t>(base + 8);
+  // The fixed 8-port dns/mesh split of the port block supports n <= 8
+  // (internet-7 campaigns fit).
+  if (opt_.n > PortBlock::kPorts / 2) throw NetError("wire clusters hold at most 8 replicas");
+  copt.dns_base_port = ports_.base();
+  copt.mesh_base_port = static_cast<std::uint16_t>(ports_.base() + 8);
   files_ = generate_cluster(dir_, copt);
 }
 

@@ -33,8 +33,8 @@
 namespace sdns::net {
 
 /// Dealt cluster material (keys, zone, configs), reusable across seeds —
-/// the trusted-dealer step is per-cluster, not per-run. Ports are derived
-/// from the pid, in a range disjoint from the cluster_test fixtures.
+/// the trusted-dealer step is per-cluster, not per-run. Ports come from a
+/// PortBlock held for the cluster's lifetime.
 class WireCluster {
  public:
   struct Options {
@@ -66,6 +66,7 @@ class WireCluster {
 
  private:
   Options opt_;
+  PortBlock ports_;
   std::string dir_;
   ClusterFiles files_;
 };

@@ -273,12 +273,14 @@ void SigningSession::try_assemble_subsets() {
     }
     auto y = assemble(*ctx_, x_, subset);
     if (y && verify_signature(*ctx_, x_, *y)) {
+      c_opt_hit_->inc();
       if (corruption_ == ShareCorruption::kNone && cb_.send_to_all) {
         cb_.send_to_all(frame(kFinalSig, y->to_bytes_be()));
       }
       complete(std::move(*y));
       return;
     }
+    c_opt_miss_->inc();
   } while (std::prev_permutation(select.begin(), select.end()));
 }
 

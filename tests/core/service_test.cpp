@@ -226,6 +226,57 @@ TEST(Service, ConcurrentUpdatesAreBatchedIntoFewerRounds) {
       svc.replica(0).metrics().counter_value("replica.update_batches"), 1u);
 }
 
+TEST(Service, UpdateBatchCountersCoverSingleAndBatchedPayloads) {
+  // Every executed update payload is one batch: a lone update travels as a
+  // single payload and counts as a batch of one, a group commit as one batch
+  // of its size. So the histogram's count equals replica.update_batches and
+  // its sum equals the number of updates, on every replica.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  auto svc = make_service(opt);
+  const auto expect_counters = [&](std::uint64_t batches, std::uint64_t updates) {
+    for (unsigned i = 0; i < svc.n(); ++i) {
+      auto& m = svc.replica(i).metrics();
+      EXPECT_EQ(m.counter_value("replica.update_batches"), batches) << "replica " << i;
+      EXPECT_EQ(m.histogram("replica.update_batch_size").count(), batches)
+          << "replica " << i;
+      EXPECT_EQ(m.histogram("replica.update_batch_size").sum(), updates)
+          << "replica " << i;
+    }
+  };
+
+  ASSERT_TRUE(svc.add_record(Name::parse("solo.corp.example."), "10.0.0.9").ok);
+  svc.settle();
+  expect_counters(1, 1);
+
+  constexpr unsigned kOps = 6;
+  unsigned done = 0;
+  for (unsigned i = 0; i < kOps; ++i) {
+    dns::Message update;
+    update.opcode = dns::Opcode::kUpdate;
+    update.questions.push_back({kOrigin, dns::RRType::kSOA, dns::RRClass::kIN});
+    dns::ResourceRecord rr;
+    rr.name = Name::parse("b" + std::to_string(i) + ".corp.example.");
+    rr.type = dns::RRType::kA;
+    rr.ttl = 300;
+    rr.rdata = dns::ARdata::from_text("10.0.1." + std::to_string(i + 1)).encode();
+    update.updates().push_back(rr);
+    svc.client().send_update(std::move(update), [&](Client::Result r) {
+      ++done;
+      EXPECT_TRUE(r.ok);
+    });
+  }
+  while (done < kOps && svc.sim().step()) {
+  }
+  ASSERT_EQ(done, kOps);
+  svc.settle();
+  const std::uint64_t batches =
+      svc.replica(0).metrics().counter_value("replica.update_batches");
+  EXPECT_GT(batches, 2u);         // the solo update, then the first of the six alone
+  EXPECT_LT(batches, 1u + kOps);  // ...and at least one true batch
+  expect_counters(batches, 1 + kOps);
+}
+
 TEST(Service, G2PrimeGatewayMuteClientRetriesNextServer) {
   // Pragmatic liveness: the gateway ignores the client; dig's timeout kicks
   // in and the next authoritative server answers (§3.4).

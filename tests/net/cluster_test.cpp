@@ -9,7 +9,7 @@
 //   - SIGKILL one replica, update while it is down, restart it with
 //     recovery, and assert it converges to the post-crash zone.
 //
-// Ports are derived from the test pid to keep parallel ctest runs apart.
+// Each fixture holds a PortBlock, which keeps parallel ctest runs apart.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -52,10 +52,8 @@ class ClusterTest : public ::testing::Test {
     opt.disseminate_reads = disseminate_reads_;
     opt.edges = edges_;
     opt.journal_limit = journal_limit_;
-    // Spread port ranges by pid so parallel test runs don't collide. Each
-    // slot holds 4 DNS + 4 mesh + up to 4 edge ports.
-    const std::uint16_t base =
-        static_cast<std::uint16_t>(20000 + (::getpid() % 3500) * 12);
+    // 4 DNS + 4 mesh + up to 4 edge ports from this fixture's block.
+    const std::uint16_t base = ports_.base();
     opt.dns_base_port = base;
     opt.mesh_base_port = base + 4;
     opt.edge_base_port = base + 8;
@@ -246,6 +244,7 @@ class ClusterTest : public ::testing::Test {
     return zone;
   }
 
+  PortBlock ports_;
   std::string dir_;
   ClusterFiles files_;
   dns::TsigKey tsig_key_;

@@ -353,6 +353,27 @@ TEST_F(EdgeTest, NotifyTriggersIxfrOfSignedUpdate) {
   });
 }
 
+TEST(Notifier, FirstCommitNotifiesAtOnceAndLaterOnesShareARound) {
+  // A commit after a quiet spell sends its round without waiting out the
+  // debounce interval; commits inside the interval wait for the next round.
+  EventLoop loop;
+  const int sink = udp_bind(SockAddr::parse("127.0.0.1:0"));
+  obs::Registry metrics;
+  Notifier::Options nopt;
+  nopt.edges = {local_addr(sink)};
+  nopt.zone = dns::Name::parse("example.com.");
+  nopt.debounce = 60;  // no second round within this test
+  nopt.metrics = &metrics;
+  Notifier notifier(loop, nopt, [] { return std::optional<dns::ResourceRecord>(); });
+  notifier.start();
+  notifier.on_commit();
+  EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), 1u);
+  notifier.on_commit();
+  notifier.on_commit();
+  EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), 1u);
+  ::close(sink);
+}
+
 TEST_F(EdgeTest, TamperedZoneIsNeverInstalled) {
   const threshold::DealtKey dealt = deal(17);
   dns::Zone zone = signed_zone(dealt, 17);

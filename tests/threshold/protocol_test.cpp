@@ -38,6 +38,7 @@ class Harness {
         }
       };
       cb.charge = [this](CostEvent op) { ++op_counts_[static_cast<int>(op)]; };
+      cb.metrics = &metrics_;
       sessions_.push_back(std::make_unique<SigningSession>(
           key_.pub, key_.shares[i - 1], protocol, /*sid=*/77, x, std::move(cb),
           rng.fork(),
@@ -60,12 +61,14 @@ class Harness {
   const BigInt& x() const { return x_; }
   SigningSession& session(unsigned i) { return *sessions_[i - 1]; }
   int op_count(CostEvent op) const { return op_counts_[static_cast<int>(op)]; }
+  std::uint64_t counter(const char* name) const { return metrics_.counter_value(name); }
   unsigned n() const { return n_; }
 
  private:
   unsigned n_;
   DealtKey key_;
   BigInt x_;
+  obs::Registry metrics_;  // shared by every session; outlives them
   std::vector<std::unique_ptr<SigningSession>> sessions_;
   std::deque<std::pair<unsigned, Bytes>> queue_;
   int op_counts_[kCostEventCount] = {};
@@ -172,6 +175,22 @@ TEST(ProtocolOptTE, CorruptionCostsExtraAssemblyAttempts) {
   Harness dirty(7, 2, SigProtocol::kOptTE, {1, 2});
   dirty.run();
   EXPECT_GT(dirty.op_count(CostEvent::kAssemble), clean.op_count(CostEvent::kAssemble));
+}
+
+TEST(ProtocolOptTE, FaultFreeSubsetAssemblyCountsOptimisticHits) {
+  Harness h(4, 1, SigProtocol::kOptTE);
+  h.run();
+  expect_all_honest_complete(h);
+  EXPECT_GE(h.counter("threshold.optimistic.hit"), 1u);
+  EXPECT_EQ(h.counter("threshold.optimistic.miss"), 0u);
+}
+
+TEST(ProtocolOptTE, FlippedShareCountsOptimisticMiss) {
+  Harness h(4, 1, SigProtocol::kOptTE, {1});
+  h.run();
+  expect_all_honest_complete(h, {1});
+  EXPECT_GE(h.counter("threshold.optimistic.miss"), 1u);
+  EXPECT_GE(h.counter("threshold.optimistic.hit"), 1u);
 }
 
 TEST(Protocol, MalformedMessagesAreIgnored) {
