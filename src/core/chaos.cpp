@@ -1,7 +1,6 @@
 #include "core/chaos.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "dns/dnssec.hpp"
@@ -69,27 +68,59 @@ std::string ChaosReport::to_string() const {
   return os.str();
 }
 
+namespace {
+
+std::vector<const ReplicaObservation*> honest_of(const std::vector<ReplicaObservation>& obs) {
+  std::vector<const ReplicaObservation*> out;
+  for (const ReplicaObservation& o : obs) {
+    if (!o.byzantine) out.push_back(&o);
+  }
+  return out;
+}
+
+/// The first honest replica at the highest delivery cursor.
+const ReplicaObservation* front_of(const std::vector<const ReplicaObservation*>& honest) {
+  return *std::max_element(honest.begin(), honest.end(),
+                           [](const ReplicaObservation* a, const ReplicaObservation* b) {
+                             return a->delivered < b->delivered;
+                           });
+}
+
+template <typename... Detail>
+void flag(std::vector<ChaosViolation>& out, const char* invariant, const Detail&... detail) {
+  std::ostringstream os;
+  (os << ... << detail);
+  out.push_back({invariant, os.str()});
+}
+
+}  // namespace
+
 std::vector<ChaosViolation> check_observations(const std::vector<ReplicaObservation>& obs,
                                                unsigned t, bool fault_free) {
   std::vector<ChaosViolation> out;
-  std::vector<const ReplicaObservation*> honest;
-  for (const ReplicaObservation& o : obs) {
-    if (!o.byzantine) honest.push_back(&o);
-  }
+  const std::vector<const ReplicaObservation*> honest = honest_of(obs);
   if (honest.empty()) return out;
 
   // Atomic broadcast safety: no two honest replicas may have delivered
-  // different payloads at the same sequence number, ever.
+  // different payloads at the same sequence number, ever. Entry by entry
+  // where the log was observed (across any floors); by chain digest where
+  // cursor and floor are equal, so both chains cover the same span.
   for (std::size_t i = 0; i < honest.size(); ++i) {
     for (std::size_t j = i + 1; j < honest.size(); ++j) {
-      for (const auto& [cursor, digest] : honest[i]->delivery_log) {
-        auto it = honest[j]->delivery_log.find(cursor);
-        if (it != honest[j]->delivery_log.end() && it->second != digest) {
-          std::ostringstream os;
-          os << "replicas " << honest[i]->id << " and " << honest[j]->id
-             << " delivered different payloads at sequence " << cursor;
-          out.push_back({"abcast-agreement", os.str()});
+      const ReplicaObservation& a = *honest[i];
+      const ReplicaObservation& b = *honest[j];
+      for (const auto& [cursor, digest] : a.delivery_log) {
+        auto it = b.delivery_log.find(cursor);
+        if (it != b.delivery_log.end() && it->second != digest) {
+          flag(out, "abcast-agreement", "replicas ", a.id, " and ", b.id,
+               " delivered different payloads at sequence ", cursor);
         }
+      }
+      if (a.delivered == b.delivered && a.digest_floor == b.digest_floor &&
+          a.delivery_digest != b.delivery_digest) {
+        flag(out, "abcast-agreement", "replicas ", a.id, " and ", b.id,
+             " chain to different delivery digests over sequences ", a.digest_floor,
+             "..", a.delivered);
       }
     }
   }
@@ -97,39 +128,26 @@ std::vector<ChaosViolation> check_observations(const std::vector<ReplicaObservat
   // No honest replica may be stuck in state transfer after the run settles.
   for (const ReplicaObservation* o : honest) {
     if (o->recovering) {
-      std::ostringstream os;
-      os << "replica " << o->id << " still in recovery after all faults healed";
-      out.push_back({"recovery", os.str()});
+      flag(out, "recovery", "replica ", o->id, " still in recovery after all faults healed");
     }
   }
 
   // Convergence: every honest replica at the same cursor with the same zone.
-  const ReplicaObservation* front = *std::max_element(
-      honest.begin(), honest.end(),
-      [](const ReplicaObservation* a, const ReplicaObservation* b) {
-        return a->delivered < b->delivered;
-      });
+  const ReplicaObservation* front = front_of(honest);
   for (const ReplicaObservation* o : honest) {
     if (o->delivered != front->delivered) {
-      std::ostringstream os;
-      os << "replica " << o->id << " stopped at delivery cursor " << o->delivered
-         << " while replica " << front->id << " reached " << front->delivered;
-      out.push_back({"zone-convergence", os.str()});
-    } else if (o->zone_wire != front->zone_wire) {
-      std::ostringstream os;
-      os << "replicas " << o->id << " and " << front->id
-         << " diverge at the same delivery cursor " << o->delivered
-         << " (t=" << t << ")";
-      out.push_back({"zone-convergence", os.str()});
+      flag(out, "zone-convergence", "replica ", o->id, " stopped at delivery cursor ",
+           o->delivered, " while replica ", front->id, " reached ", front->delivered);
+    } else if (o->zone_digest != front->zone_digest) {
+      flag(out, "zone-convergence", "replicas ", o->id, " and ", front->id,
+           " diverge at the same delivery cursor ", o->delivered, " (t=", t, ")");
     }
   }
 
   // Threshold-signature validity: the signed zone must verify everywhere.
   for (const ReplicaObservation* o : honest) {
     if (o->zone_signed && !o->zone_verifies) {
-      std::ostringstream os;
-      os << "replica " << o->id << "'s zone fails DNSSEC verification";
-      out.push_back({"zone-signature", os.str()});
+      flag(out, "zone-signature", "replica ", o->id, "'s zone fails DNSSEC verification");
     }
   }
 
@@ -139,17 +157,27 @@ std::vector<ChaosViolation> check_observations(const std::vector<ReplicaObservat
   if (fault_free) {
     for (const ReplicaObservation* o : honest) {
       if (o->fallbacks != 0) {
-        std::ostringstream os;
-        os << "replica " << o->id << " entered abcast fallback " << o->fallbacks
-           << " time(s) in a fault-free run (t=" << t << ")";
-        out.push_back({"fallback-free", os.str()});
+        flag(out, "fallback-free", "replica ", o->id, " entered abcast fallback ",
+             o->fallbacks, " time(s) in a fault-free run (t=", t, ")");
       }
       if (o->malformed_sigs != 0) {
-        std::ostringstream os;
-        os << "replica " << o->id << " dropped " << o->malformed_sigs
-           << " malformed SIG rdata(s) in a fault-free run";
-        out.push_back({"malformed-sig-free", os.str()});
+        flag(out, "malformed-sig-free", "replica ", o->id, " dropped ", o->malformed_sigs,
+             " malformed SIG rdata(s) in a fault-free run");
       }
+    }
+  }
+  return out;
+}
+
+std::vector<unsigned> laggards(const std::vector<ReplicaObservation>& obs) {
+  std::vector<unsigned> out;
+  const std::vector<const ReplicaObservation*> honest = honest_of(obs);
+  if (honest.empty()) return out;
+  const ReplicaObservation* front = front_of(honest);
+  for (const ReplicaObservation* o : honest) {
+    if (o->recovering || o->delivered < front->delivered ||
+        o->zone_digest != front->zone_digest) {
+      out.push_back(o->id);
     }
   }
   return out;
@@ -232,25 +260,29 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   svc.sim().run_until(report.schedule.horizon() + 1.0);
   run_for(15.0);
 
+  // Each replica's observe() plus its per-entry log and a full DNSSEC check.
+  auto observe_all = [&] {
+    std::vector<ReplicaObservation> obs;
+    for (unsigned i = 0; i < svc.n(); ++i) {
+      const ReplicaNode& r = svc.replica(i);
+      ReplicaObservation o = r.observe();
+      o.byzantine = report.corruption.count(i) != 0;
+      o.delivery_log = r.delivery_log();
+      o.zone_signed = r.server().zone_is_signed();
+      o.zone_verifies =
+          o.zone_signed && dns::verify_zone(r.server().zone(), svc.zone_public_key()).ok;
+      obs.push_back(std::move(o));
+    }
+    return obs;
+  };
+
   // Replicas that were cut off may have come back to a quorum too busy to
   // serve snapshots, or be lagging without knowing it; retry state transfer
   // until everyone caught up (bounded rounds — failure is then a violation).
   for (int round = 0; round < 3; ++round) {
-    std::uint64_t front = 0;
-    for (unsigned i = 0; i < svc.n(); ++i) {
-      if (report.corruption.count(i)) continue;
-      front = std::max(front, svc.replica(i).abcast().delivered_count());
-    }
-    bool any = false;
-    for (unsigned i = 0; i < svc.n(); ++i) {
-      if (report.corruption.count(i)) continue;
-      ReplicaNode& r = svc.replica(i);
-      if (r.recovering() || r.abcast().delivered_count() < front) {
-        r.start_recovery();
-        any = true;
-      }
-    }
-    if (!any) break;
+    const std::vector<unsigned> lagging = laggards(observe_all());
+    if (lagging.empty()) break;
+    for (const unsigned id : lagging) svc.replica(id).start_recovery();
     run_for(10.0);
   }
 
@@ -267,32 +299,13 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   }
   run_for(15.0);
   // The probes themselves advance the cursor; give stragglers one last pull.
-  for (unsigned i = 0; i < svc.n(); ++i) {
-    if (report.corruption.count(i)) continue;
-    if (svc.replica(i).recovering()) {
-      svc.replica(i).start_recovery();
-    }
+  for (const ReplicaObservation& o : observe_all()) {
+    if (!o.byzantine && o.recovering) svc.replica(o.id).start_recovery();
   }
   run_for(10.0);
 
-  // ---- extract observations and check the global invariants ----
-  std::vector<ReplicaObservation> obs;
-  for (unsigned i = 0; i < svc.n(); ++i) {
-    ReplicaObservation o;
-    o.id = i;
-    o.byzantine = report.corruption.count(i) != 0;
-    o.recovering = svc.replica(i).recovering();
-    o.delivered = svc.replica(i).abcast().delivered_count();
-    o.fallbacks = svc.replica(i).abcast().epoch_changes();
-    o.malformed_sigs = svc.replica(i).server().zone().malformed_sigs_dropped();
-    o.delivery_log = svc.replica(i).delivery_log();
-    o.zone_wire = svc.replica(i).server().zone().to_wire();
-    o.zone_signed = svc.replica(i).server().zone_is_signed();
-    o.zone_verifies =
-        o.zone_signed &&
-        dns::verify_zone(svc.replica(i).server().zone(), svc.zone_public_key()).ok;
-    obs.push_back(std::move(o));
-  }
+  // ---- check the global invariants ----
+  const std::vector<ReplicaObservation> obs = observe_all();
   const bool fault_free =
       report.schedule.faults.empty() && report.corruption.empty();
   auto violations = check_observations(obs, svc.t(), fault_free);

@@ -8,8 +8,9 @@
 // promises with at most t corrupted servers:
 //
 //   abcast-agreement   honest replicas never deliver different payloads at
-//                      the same sequence number (safety of atomic broadcast);
-//   zone-convergence   all honest replicas end with byte-identical zones at
+//                      the same sequence number (safety of atomic broadcast),
+//                      by per-entry log (sim) and by delivery chain (both);
+//   zone-convergence   all honest replicas end with equal zone digests at
 //                      the same delivery cursor;
 //   zone-signature     every honest replica's signed zone passes full DNSSEC
 //                      verification under the dealt zone key (threshold
@@ -54,25 +55,6 @@ struct ChaosConfig {
   std::optional<std::map<unsigned, CorruptionMode>> corruption;
 };
 
-/// What one replica looked like at the end of a run — plain data, so the
-/// invariant checkers are unit-testable without a simulation.
-struct ReplicaObservation {
-  unsigned id = 0;
-  bool byzantine = false;  ///< corrupt replicas are exempt from invariants
-  bool recovering = false;
-  bool zone_signed = false;
-  bool zone_verifies = false;
-  std::uint64_t delivered = 0;  ///< atomic broadcast delivery cursor
-  /// Epoch changes this replica initiated (abcast fallback activations).
-  std::uint64_t fallbacks = 0;
-  /// Malformed SIG rdatas the zone silently discarded (remove_sigs). Our
-  /// own signers never emit undecodable SIGs, so any nonzero value in a
-  /// fault-free run means zone bytes were corrupted in flight or at rest.
-  std::uint64_t malformed_sigs = 0;
-  std::map<std::uint64_t, abcast::Digest> delivery_log;
-  util::Bytes zone_wire;
-};
-
 struct ChaosViolation {
   std::string invariant;  ///< "abcast-agreement", "zone-convergence", ...
   std::string detail;
@@ -102,13 +84,18 @@ ChaosReport run_chaos(const ChaosConfig& cfg);
 std::map<unsigned, CorruptionMode> draw_byzantine(std::uint64_t seed, unsigned n,
                                                   unsigned count);
 
-/// The pure invariant checkers, exposed for unit tests. `t` is the fault
-/// threshold (used only for context in messages). `fault_free` enables the
-/// counter-based "fallback-free" invariant: a run with no injected faults and
+/// The one invariant checker, for sim and wire observations alike. `t` is
+/// the fault threshold (used only for context in messages). `fault_free`
+/// enables the counter-based invariants: a run with no injected faults and
 /// no Byzantine replicas must never leave the optimistic abcast path, so any
 /// nonzero fallback count is a protocol regression even when safety held.
 std::vector<ChaosViolation> check_observations(const std::vector<ReplicaObservation>& obs,
                                                unsigned t, bool fault_free = false);
+
+/// The honest replicas a convergence loop pushes into state transfer: those
+/// recovering, behind the front cursor, or with a zone digest other than
+/// the front replica's. Shared by the sim and wire campaigns.
+std::vector<unsigned> laggards(const std::vector<ReplicaObservation>& obs);
 
 /// Greedily shrink a failing run's fault schedule: drop one fault at a time,
 /// keeping each deletion that preserves the failure. Returns the report of

@@ -492,6 +492,36 @@ void ReplicaNode::stand_down_recovery(const char* why) {
                 abcast_ ? abcast_->delivered_count() : 0, ": ", why);
 }
 
+ReplicaObservation ReplicaNode::observe() const {
+  ReplicaObservation o;
+  o.id = id();
+  o.recovering = recovering_;
+  o.delivered = abcast_ ? abcast_->delivered_count() : deliveries_;
+  o.fallbacks = abcast_ ? abcast_->epoch_changes() : 0;
+  o.malformed_sigs = server_.zone().malformed_sigs_dropped();
+  // Chain digest over the contiguous run of the delivery log that ends at
+  // the cursor: equal cursor, floor and digest pin agreement and order over
+  // that span. State transfer leaves holes (a respawn's log starts at its
+  // snapshot, a nudged replica's skips its partition), so the chain starts
+  // after the last one; an adoption with no delivery since has floor ==
+  // cursor and an empty chain.
+  std::uint64_t first = o.delivered;
+  for (auto it = delivery_log_.rbegin(); it != delivery_log_.rend() && it->first + 1 == first;
+       ++it) {
+    first = it->first;
+  }
+  if (!delivery_log_.empty()) o.digest_floor = static_cast<std::int64_t>(first);
+  std::uint64_t h = util::fnv1a({});
+  for (auto it = delivery_log_.lower_bound(first); it != delivery_log_.end(); ++it) {
+    std::uint8_t seq[8];
+    for (int i = 0; i < 8; ++i) seq[i] = static_cast<std::uint8_t>(it->first >> (8 * i));
+    h = util::fnv1a(it->second, util::fnv1a(seq, h));
+  }
+  o.delivery_digest = h >> 1;
+  o.zone_digest = util::fnv1a(server_.zone().to_wire()) >> 1;
+  return o;
+}
+
 store::ZoneState ReplicaNode::make_store_state() const {
   store::ZoneState state;
   state.abcast_cursor = abcast_ ? abcast_->delivered_count() : deliveries_;

@@ -32,6 +32,33 @@ namespace sdns::core {
 /// Clients are addressed by opaque ids (the simulator's node ids).
 using ClientId = std::uint64_t;
 
+/// What one replica looks like from outside — the one observation form:
+/// ReplicaNode::observe() fills the protocol-state fields, the daemon
+/// exports them as stats.sdns. gauges, and the sim and wire chaos campaigns
+/// judge them with the same check_observations().
+struct ReplicaObservation {
+  unsigned id = 0;
+  bool byzantine = false;  ///< corrupt replicas are exempt from invariants
+  bool recovering = false;
+  bool zone_signed = false;
+  bool zone_verifies = false;
+  std::uint64_t delivered = 0;  ///< atomic broadcast delivery cursor
+  /// Epoch changes this replica initiated (abcast fallback activations).
+  std::uint64_t fallbacks = 0;
+  /// Malformed SIG rdatas the zone silently discarded (remove_sigs). Our
+  /// own signers never emit undecodable SIGs, so any nonzero value in a
+  /// fault-free run means zone bytes were corrupted in flight or at rest.
+  std::uint64_t malformed_sigs = 0;
+  /// The delivery chain covers sequences [digest_floor, delivered); -1 when
+  /// the delivery log is empty. Both digests are 63-bit (top bit cleared)
+  /// so they round-trip through an int64 gauge.
+  std::int64_t digest_floor = -1;
+  std::uint64_t delivery_digest = 0;
+  std::uint64_t zone_digest = 0;  ///< of the zone's wire form
+  /// Per-entry log (sequence -> payload digest); only the simulator fills it.
+  std::map<std::uint64_t, abcast::Digest> delivery_log;
+};
+
 class ReplicaNode {
  public:
   struct Callbacks {
@@ -116,6 +143,12 @@ class ReplicaNode {
   const std::map<std::uint64_t, abcast::Digest>& delivery_log() const {
     return delivery_log_;
   }
+
+  /// This replica's protocol-state fields of a ReplicaObservation (O(zone):
+  /// only stats exports and chaos checks call it, never the read or update
+  /// path). byzantine, zone_signed/zone_verifies and delivery_log are left
+  /// to the caller.
+  ReplicaObservation observe() const;
 
   unsigned id() const { return secret_.id; }
   const dns::AuthoritativeServer& server() const { return server_; }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 
@@ -263,6 +264,15 @@ std::map<std::string, std::string> scrape_stats(const SockAddr& server,
     const std::string txt(rr.rdata.begin() + 1, rr.rdata.begin() + 1 + len);
     const auto eq = txt.find('=');
     if (eq != std::string::npos) out[txt.substr(0, eq)] = txt.substr(eq + 1);
+  }
+  return out;
+}
+
+std::map<std::string, std::int64_t> scrape_counters(const SockAddr& server,
+                                                    double timeout, unsigned attempts) {
+  std::map<std::string, std::int64_t> out;
+  for (const auto& [name, value] : scrape_stats(server, timeout, attempts)) {
+    out[name] = std::strtoll(value.c_str(), nullptr, 10);
   }
   return out;
 }

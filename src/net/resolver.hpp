@@ -11,6 +11,7 @@
 // test body, and nothing here may depend on the replicas' event loop.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -81,5 +82,12 @@ class StubResolver {
 std::map<std::string, std::string> scrape_stats(const SockAddr& server,
                                                 double timeout = 1.0,
                                                 unsigned attempts = 3);
+
+/// scrape_stats read as signed integers: histogram floats keep their
+/// integer part, and a negative gauge (abcast.digest_floor = -1 for an
+/// empty delivery log) reads back negative. Empty when unreachable.
+std::map<std::string, std::int64_t> scrape_counters(const SockAddr& server,
+                                                    double timeout = 1.0,
+                                                    unsigned attempts = 3);
 
 }  // namespace sdns::net

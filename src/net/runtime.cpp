@@ -313,52 +313,34 @@ void ReplicaRuntime::handle_request(ClientId client, BytesView wire) {
   replica_->on_client_request(client, wire);
 }
 
+// refresh_gauges and observation_from_counters are inverses, name for name;
+// fallbacks ride the abcast.fallback counter, which counts the same event.
 void ReplicaRuntime::refresh_gauges() {
-  const auto& abcast = replica_->abcast();
-  registry_.gauge("abcast.delivered")
-      .set(static_cast<std::int64_t>(abcast.delivered_count()));
-  registry_.gauge("replica.recovering").set(replica_->recovering() ? 1 : 0);
-  // Chain digest over the delivery log's contiguous tail: equal cursor +
-  // equal digest pins both agreement (same payload at every sequence
-  // number) and order for every sequence the chain covers. Snapshot
-  // recovery skips entries (a respawned replica's log starts at its
-  // snapshot; a nudged one's has a hole where it was partitioned), so the
-  // chain starts at the last gap and the exported floor names that first
-  // covered sequence — checkers compare digests only between replicas with
-  // equal spans, the scrapeable form of the simulator's entry-by-entry
-  // intersection comparison.
-  const auto& log = replica_->delivery_log();
-  std::int64_t floor = -1;
-  if (!log.empty()) {
-    auto it = log.rbegin();
-    std::uint64_t first = it->first;
-    for (++it; it != log.rend() && it->first + 1 == first; ++it) first = it->first;
-    floor = static_cast<std::int64_t>(first);
-  }
-  std::uint64_t h = 1469598103934665603ULL;
-  if (floor >= 0) {
-    for (auto it = log.find(static_cast<std::uint64_t>(floor)); it != log.end();
-         ++it) {
-      std::uint8_t seq_bytes[8];
-      for (int i = 0; i < 8; ++i) {
-        seq_bytes[i] = static_cast<std::uint8_t>(it->first >> (8 * i));
-      }
-      h = util::fnv1a(seq_bytes, h);
-      h = util::fnv1a(it->second, h);
-    }
-  }
-  registry_.gauge("abcast.digest_floor").set(floor);
-  // Digests export with the top bit cleared so they survive a round trip
-  // through an int64 gauge and a strtoull-based scraper unchanged.
-  registry_.gauge("abcast.delivery_digest").set(static_cast<std::int64_t>(h >> 1));
-  registry_.gauge("replica.zone_digest")
-      .set(static_cast<std::int64_t>(
-          util::fnv1a(replica_->server().zone().to_wire()) >> 1));
-  // Malformed SIG rdata silently dropped by remove_sigs — must stay zero in
-  // a fault-free run (asserted by the chaos and wire-chaos invariants).
+  const core::ReplicaObservation o = replica_->observe();
+  registry_.gauge("abcast.delivered").set(static_cast<std::int64_t>(o.delivered));
+  registry_.gauge("replica.recovering").set(o.recovering ? 1 : 0);
+  registry_.gauge("abcast.digest_floor").set(o.digest_floor);
+  registry_.gauge("abcast.delivery_digest").set(static_cast<std::int64_t>(o.delivery_digest));
+  registry_.gauge("replica.zone_digest").set(static_cast<std::int64_t>(o.zone_digest));
   registry_.gauge("dns.zone.malformed_sigs_dropped")
-      .set(static_cast<std::int64_t>(
-          replica_->server().zone().malformed_sigs_dropped()));
+      .set(static_cast<std::int64_t>(o.malformed_sigs));
+}
+
+core::ReplicaObservation observation_from_counters(
+    const std::map<std::string, std::int64_t>& counters) {
+  const auto get = [&counters](const char* name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::int64_t{0} : it->second;
+  };
+  core::ReplicaObservation o;
+  o.delivered = static_cast<std::uint64_t>(get("abcast.delivered"));
+  o.recovering = get("replica.recovering") != 0;
+  o.fallbacks = static_cast<std::uint64_t>(get("abcast.fallback"));
+  o.malformed_sigs = static_cast<std::uint64_t>(get("dns.zone.malformed_sigs_dropped"));
+  o.digest_floor = get("abcast.digest_floor");
+  o.delivery_digest = static_cast<std::uint64_t>(get("abcast.delivery_digest"));
+  o.zone_digest = static_cast<std::uint64_t>(get("replica.zone_digest"));
+  return o;
 }
 
 void ReplicaRuntime::log_stats_line() {

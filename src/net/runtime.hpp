@@ -13,6 +13,7 @@
 // key-material paths the trusted dealer distributed §4.3).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -123,9 +124,8 @@ class ReplicaRuntime {
 
  private:
   void log_stats_line();
-  /// Protocol-state gauges (abcast cursor, delivery-log digest, zone
-  /// digest, recovering flag) are snapshotted into the registry just before
-  /// each export — they are derived state, not hot-path counters.
+  /// Exports the replica's observe() as gauges just before each scrape:
+  /// derived state, not hot-path counters.
   void refresh_gauges();
   /// Runs on the main loop. CHAOS-class queries (`stats.sdns.`, and the
   /// `recover.sdns.` recovery nudge) and AXFR/IXFR are answered locally,
@@ -151,5 +151,10 @@ class ReplicaRuntime {
   /// before the registry, the replica and its generation counter go away.
   std::unique_ptr<FrontendGroup> frontends_;
 };
+
+/// A ReplicaRuntime's observe() fields read back from its scrape_counters():
+/// the inverse of its protocol-state gauges.
+core::ReplicaObservation observation_from_counters(
+    const std::map<std::string, std::int64_t>& counters);
 
 }  // namespace sdns::net

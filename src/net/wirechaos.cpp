@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "dns/dnssec.hpp"
+#include "dns/xfr.hpp"
 #include "net/resolver.hpp"
 #include "util/rng.hpp"
 
@@ -39,16 +41,32 @@ StubResolver make_resolver(const ClusterFiles& files, unsigned id,
   return StubResolver(opt);
 }
 
-/// One replica's stats.sdns. counters as integers; empty on failure (the
-/// caller decides whether unreachable is a violation yet).
-std::map<std::string, std::uint64_t> scrape_counters(const ClusterFiles& files,
-                                                     unsigned id) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, value] :
-       scrape_stats(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/2)) {
-    out[name] = std::strtoull(value.c_str(), nullptr, 10);
+/// One honest replica as seen from outside: its stats.sdns. gauges in the
+/// observation form, plus an AXFR of its zone checked under the dealt zone
+/// key (the cluster's zone is always threshold-signed). A replica that
+/// cannot be scraped or transferred adds a liveness violation instead.
+std::optional<core::ReplicaObservation> observe_replica(
+    const ClusterFiles& files, unsigned id, std::vector<core::ChaosViolation>& failures) {
+  const auto counters = scrape_counters(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/3);
+  if (counters.empty()) {
+    failures.push_back({"liveness", "stats scrape failed on replica " + std::to_string(id)});
+    return std::nullopt;
   }
-  return out;
+  core::ReplicaObservation o = observation_from_counters(counters);
+  o.id = id;
+  dns::Message axfr;
+  axfr.questions.push_back({dns::Name::parse("example.com."), dns::RRType::kAXFR,
+                            dns::RRClass::kIN});
+  const auto res = make_resolver(files, id, /*timeout=*/2.0, /*attempts=*/2).xfr(std::move(axfr));
+  dns::Zone zone(dns::Name::parse("example.com."));
+  if (!res.ok || res.response.rcode != dns::Rcode::kNoError ||
+      dns::apply_xfr_response(zone, res.response) != dns::XfrOutcome::kReplacedAxfr) {
+    failures.push_back({"liveness", "zone transfer failed on replica " + std::to_string(id)});
+    return std::nullopt;
+  }
+  o.zone_signed = true;
+  o.zone_verifies = dns::verify_zone(zone, files.zone_key).ok;
+  return o;
 }
 
 /// Remote recovery nudge: recover.sdns. CH TXT (fire-and-forget).
@@ -323,44 +341,24 @@ core::ChaosReport run_wire_chaos(const WireCluster& cluster,
     }
   }
 
-  // ---- heal + settle, then drive convergence: scrape protocol gauges and
-  //      nudge laggards into recovery (the wire form of the sim adversary's
-  //      on_heal hook) until cursors, digests and recovery flags agree ----
+  // ---- heal + settle, then nudge core::laggards() into recovery (the
+  //      wire form of the sim adversary's on_heal hook) until cursors,
+  //      digests and recovery flags agree; nudge all if one is unobservable ----
+  std::vector<core::ChaosViolation> unobserved;
+  const auto observe_honest = [&] {
+    std::vector<core::ReplicaObservation> obs;
+    unobserved.clear();
+    for (const unsigned id : honest) {
+      if (auto o = observe_replica(files, id, unobserved)) obs.push_back(std::move(*o));
+    }
+    return obs;
+  };
   sleep_until_mono(wall_end + std::max(0.8, 2.0 * scale));
-  const char* kDelivered = "abcast.delivered";
-  const char* kDeliveryDigest = "abcast.delivery_digest";
-  const char* kZoneDigest = "replica.zone_digest";
-  const char* kRecovering = "replica.recovering";
-  std::map<unsigned, std::map<std::string, std::uint64_t>> stats;
   for (int round = 0; round < 10; ++round) {
-    stats.clear();
-    bool complete = true;
-    for (const unsigned id : honest) {
-      auto s = scrape_counters(files, id);
-      if (s.empty()) complete = false;
-      stats[id] = std::move(s);
-    }
-    std::set<unsigned> lagging;
-    if (complete) {
-      std::uint64_t front = 0;
-      for (const unsigned id : honest) {
-        front = std::max(front, stats[id][kDelivered]);
-      }
-      const unsigned leader = *std::max_element(
-          honest.begin(), honest.end(), [&](unsigned x, unsigned y) {
-            return stats[x][kDelivered] < stats[y][kDelivered];
-          });
-      for (const unsigned id : honest) {
-        if (stats[id][kDelivered] < front || stats[id][kRecovering] != 0 ||
-            stats[id][kZoneDigest] != stats[leader][kZoneDigest]) {
-          lagging.insert(id);
-        }
-      }
-      if (lagging.empty()) break;
-    }
-    for (const unsigned id : honest) {
-      if (!complete || lagging.count(id)) nudge_recovery(files, id);
-    }
+    const auto obs = observe_honest();
+    const std::vector<unsigned> lagging = unobserved.empty() ? core::laggards(obs) : honest;
+    if (lagging.empty()) break;
+    for (const unsigned id : lagging) nudge_recovery(files, id);
     ::usleep(800 * 1000);
   }
 
@@ -412,83 +410,16 @@ core::ChaosReport run_wire_chaos(const WireCluster& cluster,
     }
   }
 
-  // ---- final scrape: the safety invariants, from protocol gauges. The
-  //      probe update lands asynchronously (abcast delivery, then threshold
-  //      re-sign, then zone swap), so one scrape can legitimately catch a
-  //      replica mid-apply: the check retries until the cluster is stable
-  //      and only a PERSISTENT mismatch is a violation ----
-  const auto safety_check = [&]() -> std::vector<core::ChaosViolation> {
-    std::vector<core::ChaosViolation> out;
-    stats.clear();
-    for (const unsigned id : honest) {
-      for (int attempt = 0; attempt < 3 && stats[id].empty(); ++attempt) {
-        stats[id] = scrape_counters(files, id);
-      }
-      if (stats[id].empty()) {
-        out.push_back(
-            {"liveness", "stats scrape failed on replica " + std::to_string(id)});
-      }
-    }
-    for (const unsigned id : honest) {
-      if (stats[id].empty()) return out;
-    }
-    if (honest.empty()) return out;
-    const unsigned first = honest.front();
-    bool cursors_equal = true;
-    for (const unsigned id : honest) {
-      if (stats[id][kRecovering] != 0) {
-        out.push_back({"recovery", "replica " + std::to_string(id) +
-                                       " still in state transfer"});
-      }
-      if (stats[id][kDelivered] != stats[first][kDelivered]) cursors_equal = false;
-      if (stats[id][kZoneDigest] != stats[first][kZoneDigest]) {
-        out.push_back(
-            {"zone-convergence",
-             "zone digest mismatch: replica " + std::to_string(id) + " vs " +
-                 std::to_string(first)});
-      }
-    }
-    if (!cursors_equal) {
-      out.push_back({"zone-convergence",
-                     "delivery cursors diverged across honest replicas"});
-    } else {
-      // Agreement: at an equal cursor, replicas whose logs span the same
-      // sequences (equal floor — snapshot recovery truncates the log to a
-      // suffix, a partition leaves a hole before it) must chain to the same
-      // digest. This is the scrapeable form of the simulator's
-      // entry-by-entry intersection comparison.
-      std::map<std::uint64_t, std::pair<unsigned, std::uint64_t>> by_floor;
-      for (const unsigned id : honest) {
-        const std::uint64_t floor = stats[id]["abcast.digest_floor"];
-        const std::uint64_t digest = stats[id][kDeliveryDigest];
-        const auto [it, inserted] =
-            by_floor.emplace(floor, std::make_pair(id, digest));
-        if (!inserted && it->second.second != digest) {
-          out.push_back({"abcast-agreement",
-                         "delivery-log digest mismatch at equal cursor: replica " +
-                             std::to_string(id) + " vs " +
-                             std::to_string(it->second.first)});
-          break;
-        }
-      }
-    }
-    // Fault-free runs must never leave the optimistic abcast path (the WAN
-    // latency floor is benign load, not a fault).
-    if (schedule.faults.empty() && report.corruption.empty()) {
-      for (const unsigned id : honest) {
-        if (stats[id]["abcast.fallback"] != 0) {
-          out.push_back({"fallback-free",
-                         "replica " + std::to_string(id) +
-                             " fell back with no faults injected"});
-        }
-        if (stats[id]["dns.zone.malformed_sigs_dropped"] != 0) {
-          out.push_back({"malformed-sig-free",
-                         "replica " + std::to_string(id) +
-                             " dropped malformed SIG rdata with no faults injected"});
-        }
-      }
-    }
-    return out;
+  // ---- final observation, judged by the simulator's checker. The probe
+  //      update lands asynchronously (abcast delivery, then threshold
+  //      re-sign, then zone swap), so an observation can catch a replica
+  //      mid-apply: retry until stable; only a PERSISTENT violation counts.
+  //      The WAN latency floor is benign load, not a fault ----
+  const bool fault_free = schedule.faults.empty() && report.corruption.empty();
+  const auto safety_check = [&] {
+    const auto obs = observe_honest();
+    return unobserved.empty() ? core::check_observations(obs, report.t, fault_free)
+                              : unobserved;
   };
   std::vector<core::ChaosViolation> safety = safety_check();
   for (int attempt = 0; attempt < 8 && !safety.empty(); ++attempt) {

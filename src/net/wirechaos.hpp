@@ -9,12 +9,12 @@
 // plus REAL crash/restart: the harness SIGKILLs a replica when a kCrash
 // fault activates and respawns it with recovery at the heal time.
 //
-// The invariants are the PR-2 ones, checked from the outside, over the
-// wire: per-replica protocol state (abcast delivery cursor, a chain digest
-// of the delivery log, the zone digest, the recovering flag, fallback
-// counters) is scraped from the stats.sdns. CH TXT endpoint; liveness is a
-// probe query against every honest replica plus one probe update that must
-// converge everywhere; and a packet-cache staleness probe (the
+// The invariants are the simulator's, judged by the same
+// core::check_observations() from outside: each honest replica's observe()
+// fields, scraped from the stats.sdns. CH TXT endpoint, plus an AXFR of its
+// zone verified under the dealt zone key. Liveness is a probe query against
+// every honest replica plus one probe update that must converge
+// everywhere; and a packet-cache staleness probe (the
 // ShardedClusterTest no-stale pattern) asserts that no replica serves a
 // pre-update answer after acknowledging the update. Results reuse
 // core::ChaosReport, so campaign tooling prints sim and wire failures

@@ -202,19 +202,9 @@ class ClusterTest : public ::testing::Test {
     return r.send_update(std::move(update), &tsig_key_);
   }
 
-  /// Live counters over the wire (stats.sdns. CH TXT) as integers. Works
-  /// against replicas and edges alike.
-  static std::map<std::string, std::uint64_t> scrape_stats_at(const SockAddr& addr) {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [name, value] : net::scrape_stats(addr)) {
-      // Histogram exports are decimal floats; strtoull keeps the integer part.
-      out[name] = std::strtoull(value.c_str(), nullptr, 10);
-    }
-    return out;
-  }
-
-  std::map<std::string, std::uint64_t> scrape_stats(unsigned id) {
-    return scrape_stats_at(files_.dns_addrs[id]);
+  /// One replica's live counters over the wire (stats.sdns. CH TXT).
+  std::map<std::string, std::int64_t> scrape_stats(unsigned id) {
+    return scrape_counters(files_.dns_addrs[id]);
   }
 
   /// AXFR the zone from `addr` over the real TCP frontend, reassembled from
@@ -553,7 +543,7 @@ TEST_F(EdgeClusterTest, EdgesFollowCommittedUpdatesAndStayVerified) {
   // SetUp already proved both edges bootstrapped (they answered NOERROR);
   // the bootstrap path must have been one verified AXFR each.
   for (unsigned k = 0; k < 2; ++k) {
-    const auto stats = scrape_stats_at(files_.edge_addrs[k]);
+    const auto stats = scrape_counters(files_.edge_addrs[k]);
     ASSERT_FALSE(stats.empty()) << "edge " << k << " stats scrape failed";
     EXPECT_GE(stats.at("edge.axfr_bootstraps"), 1u);
     EXPECT_EQ(stats.at("edge.verify_failures"), 0u);
@@ -585,7 +575,7 @@ TEST_F(EdgeClusterTest, EdgesFollowCommittedUpdatesAndStayVerified) {
 
   // ---- the refresh was incremental and NOTIFY-driven ----
   for (unsigned k = 0; k < 2; ++k) {
-    const auto stats = scrape_stats_at(files_.edge_addrs[k]);
+    const auto stats = scrape_counters(files_.edge_addrs[k]);
     ASSERT_FALSE(stats.empty());
     EXPECT_GE(stats.at("edge.notifies_received"), 1u)
         << "edge " << k << " refreshed only via the polling backstop";

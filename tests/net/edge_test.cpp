@@ -9,8 +9,10 @@
 //   - fail closed (ServFail, no install) while unbootstrapped,
 //   - ack a NOTIFY and pull the new serial via a genuine IXFR diff,
 //   - refuse a tampered zone and a zone signed under the wrong key.
-// The bootstrap test runs with one and with two frontend shards, and a last
-// test pits the CH introspection of a real ReplicaRuntime against an edge's.
+// The bootstrap test runs with one and with two frontend shards, a further
+// test pits the CH introspection of a real ReplicaRuntime against an edge's,
+// and the last one round-trips that replica's observation through its
+// stats gauges.
 //
 // The loop runs on the test's main thread; a client thread speaks blocking
 // sockets against the edge and stops the loop when done (frontend_test's
@@ -484,6 +486,48 @@ TEST_F(EdgeTest, ChaosClassIsAnsweredLocallyByReplicaAndEdge) {
                 is_replica ? dns::Rcode::kNoError : dns::Rcode::kRefused);
     }
   });
+}
+
+/// The observation form's round trip: a live ReplicaRuntime exports its
+/// replica's observe() as stats.sdns. gauges, and scrape_counters +
+/// observation_from_counters — the wire campaign's reader — must give back
+/// every field unchanged, including the -1 floor of an empty delivery log
+/// and the full 63 bits of each digest.
+class Observe : public EdgeTest {};
+
+TEST_F(Observe, GaugesRoundTripThroughScrapeCounters) {
+  ClusterOptions copt;
+  copt.seed = 31;
+  const ClusterFiles files = generate_cluster(dir_, copt);
+  RuntimeConfig rc = RuntimeConfig::load(files.configs[0]);
+  rc.listen_dns = SockAddr::parse("127.0.0.1:0");
+  rc.mesh_peers.assign(rc.n, SockAddr::parse("127.0.0.1:1"));  // unreachable
+  rc.mesh_peers[rc.id] = SockAddr::parse("127.0.0.1:0");
+  rc.notify_edges.clear();
+  ReplicaRuntime replica(loop_, rc);
+  replica.start();
+  const SockAddr addr = replica.frontend().bound_addr();
+  // Peerless, the replica delivers nothing: observe it before the loop runs
+  // and again after, so the test thread never reads it concurrently.
+  const core::ReplicaObservation want = replica.replica().observe();
+  ASSERT_EQ(want.digest_floor, -1);
+
+  std::map<std::string, std::int64_t> counters;
+  run_with_client([&] { counters = scrape_counters(addr); });
+  ASSERT_FALSE(counters.empty()) << "stats.sdns. scrape failed";
+  EXPECT_EQ(counters.at("abcast.digest_floor"), -1);
+
+  const core::ReplicaObservation got = observation_from_counters(counters);
+  const core::ReplicaObservation now = replica.replica().observe();
+  for (const core::ReplicaObservation* o : {&want, &now}) {
+    EXPECT_EQ(got.delivered, o->delivered);
+    EXPECT_EQ(got.recovering, o->recovering);
+    EXPECT_EQ(got.fallbacks, o->fallbacks);
+    EXPECT_EQ(got.malformed_sigs, o->malformed_sigs);
+    EXPECT_EQ(got.digest_floor, o->digest_floor);
+    EXPECT_EQ(got.delivery_digest, o->delivery_digest);
+    EXPECT_EQ(got.zone_digest, o->zone_digest);
+  }
 }
 
 }  // namespace

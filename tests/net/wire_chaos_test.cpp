@@ -126,17 +126,6 @@ StubResolver durable_resolver(const ClusterFiles& files, unsigned id,
   return StubResolver(opt);
 }
 
-/// stats.sdns. CH TXT counters as integers; empty map on failure.
-std::map<std::string, std::uint64_t> durable_scrape(const ClusterFiles& files,
-                                                    unsigned id) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, value] :
-       scrape_stats(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/2)) {
-    out[name] = std::strtoull(value.c_str(), nullptr, 10);
-  }
-  return out;
-}
-
 StubResolver::Result durable_add_record(const ClusterFiles& files, unsigned via,
                                         const std::string& name,
                                         const std::string& addr) {
@@ -156,14 +145,14 @@ StubResolver::Result durable_add_record(const ClusterFiles& files, unsigned via,
 
 /// Poll `pred` against one replica's scrape until it holds or ~deadline
 /// seconds elapse. Returns the last scrape either way.
-std::map<std::string, std::uint64_t> durable_poll(
+std::map<std::string, std::int64_t> durable_poll(
     const ClusterFiles& files, unsigned id, double deadline,
-    const std::function<bool(const std::map<std::string, std::uint64_t>&)>&
+    const std::function<bool(const std::map<std::string, std::int64_t>&)>&
         pred) {
   const double until = monotonic_now() + deadline;
-  std::map<std::string, std::uint64_t> last;
+  std::map<std::string, std::int64_t> last;
   for (;;) {
-    last = durable_scrape(files, id);
+    last = scrape_counters(files.dns_addrs[id], /*timeout=*/0.8, /*attempts=*/2);
     if (pred(last)) return last;
     if (monotonic_now() >= until) return last;
     ::usleep(100000);

@@ -22,7 +22,7 @@ ReplicaObservation honest_obs(unsigned id) {
   o.zone_verifies = true;
   o.delivered = 2;
   o.delivery_log = {{0, digest(1)}, {1, digest(2)}};
-  o.zone_wire = {0xAA, 0xBB};
+  o.zone_digest = 0xAABB;
   return o;
 }
 
@@ -34,7 +34,7 @@ TEST(ChaosCheckers, CleanObservationsProduceNoViolations) {
 TEST(ChaosCheckers, DetectsAgreementViolation) {
   std::vector<ReplicaObservation> obs = {honest_obs(0), honest_obs(1)};
   obs[1].delivery_log[1] = digest(9);  // same sequence, different payload
-  obs[1].zone_wire = obs[0].zone_wire; // isolate the agreement check
+  obs[1].zone_digest = obs[0].zone_digest; // isolate the agreement check
   auto v = check_observations(obs, 1);
   ASSERT_FALSE(v.empty());
   EXPECT_EQ(v.front().invariant, "abcast-agreement");
@@ -42,7 +42,7 @@ TEST(ChaosCheckers, DetectsAgreementViolation) {
 
 TEST(ChaosCheckers, DetectsZoneDivergenceAtSameCursor) {
   std::vector<ReplicaObservation> obs = {honest_obs(0), honest_obs(1)};
-  obs[1].zone_wire = {0xDE, 0xAD};
+  obs[1].zone_digest = 0xDEAD;
   auto v = check_observations(obs, 1);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v.front().invariant, "zone-convergence");
@@ -111,10 +111,69 @@ TEST(ChaosCheckers, ByzantineReplicasAreExemptFromEveryInvariant) {
   std::vector<ReplicaObservation> obs = {honest_obs(0), honest_obs(1)};
   obs[1].byzantine = true;
   obs[1].delivery_log[1] = digest(9);
-  obs[1].zone_wire = {0xDE, 0xAD};
+  obs[1].zone_digest = 0xDEAD;
   obs[1].recovering = true;
   obs[1].zone_verifies = false;
   EXPECT_TRUE(check_observations(obs, 1).empty());
+}
+
+// ---- the wire's shape: no per-entry log, only the delivery chain ----------
+
+ReplicaObservation wire_obs(unsigned id) {
+  ReplicaObservation o = honest_obs(id);
+  o.delivery_log.clear();
+  o.digest_floor = 0;
+  o.delivery_digest = 0x1234;
+  return o;
+}
+
+TEST(ChaosCheckers, WireShapedCleanObservationsProduceNoViolations) {
+  std::vector<ReplicaObservation> obs = {wire_obs(0), wire_obs(1), wire_obs(2)};
+  EXPECT_TRUE(check_observations(obs, 1).empty());
+}
+
+TEST(ChaosCheckers, EqualChainSpanWithDifferentDigestIsAnAgreementViolation) {
+  std::vector<ReplicaObservation> obs = {wire_obs(0), wire_obs(1)};
+  obs[1].delivery_digest = 0x9999;
+  auto v = check_observations(obs, 1);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v.front().invariant, "abcast-agreement");
+}
+
+TEST(ChaosCheckers, ChainsWithDifferentFloorsAreNotCompared) {
+  // A replica that adopted a snapshot chains from a later floor; its digest
+  // covers a shorter span and must not be held against the others'.
+  std::vector<ReplicaObservation> obs = {wire_obs(0), wire_obs(1)};
+  obs[1].digest_floor = 1;
+  obs[1].delivery_digest = 0x9999;
+  EXPECT_TRUE(check_observations(obs, 1).empty());
+}
+
+TEST(ChaosCheckers, EmptyLogFloorIsHandled) {
+  // Floor -1 (nothing in the log) compares only against another -1 at the
+  // same cursor, never against a chain from floor 0.
+  std::vector<ReplicaObservation> obs = {wire_obs(0), wire_obs(1), wire_obs(2)};
+  obs[1].digest_floor = -1;
+  obs[1].delivery_digest = 0x5555;
+  EXPECT_TRUE(check_observations(obs, 1).empty());
+  obs[2].digest_floor = -1;
+  obs[2].delivery_digest = 0x6666;
+  auto v = check_observations(obs, 1);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v.front().invariant, "abcast-agreement");
+  EXPECT_NE(v.front().detail.find("replicas 1 and 2"), std::string::npos);
+}
+
+TEST(ChaosCheckers, LaggardsAreRecoveringBehindOrDivergentHonestReplicas) {
+  std::vector<ReplicaObservation> obs = {wire_obs(0), wire_obs(1), wire_obs(2),
+                                         wire_obs(3), wire_obs(4)};
+  EXPECT_TRUE(laggards(obs).empty());
+  obs[1].recovering = true;
+  obs[2].delivered = 1;
+  obs[3].zone_digest = 0xDEAD;
+  obs[4].byzantine = true;
+  obs[4].delivered = 0;
+  EXPECT_EQ(laggards(obs), (std::vector<unsigned>{1, 2, 3}));
 }
 
 // ---- whole-run properties (each run is a short simulation) ----------------
