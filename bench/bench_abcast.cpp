@@ -1,10 +1,13 @@
 // Atomic broadcast microbenchmarks (simulated latency, not wall clock):
 // delivery latency vs group size and topology, cost of the fall-back path,
-// and the round distribution of the randomized binary agreement.
+// the round distribution of the randomized binary agreement, and the heap a
+// long-running broadcast keeps per delivery.
 //
 // This quantifies the substrate the paper takes from SINTRA: how much the
 // "optimistic" protocol costs when the leader is correct, and what an epoch
 // change costs when it is not.
+#include <malloc.h>
+
 #include <cstdio>
 #include <memory>
 
@@ -180,6 +183,32 @@ int main() {
     }
     std::printf("  mixed inputs, 10 seeds: avg %.1f rounds to decide (expected O(1))\n",
                 runs ? double(total_rounds) / runs : -1.0);
+  }
+
+  std::printf("\nRetention (n=4 LAN, 10000 deliveries, window %llu):\n",
+              static_cast<unsigned long long>(abcast::AtomicBroadcast::kRetainWindow));
+  {
+    // Heap growth between 1000 and 10000 deliveries, split over replicas:
+    // what each further delivery leaves behind for good.
+    constexpr std::size_t kWarm = 1000;
+    constexpr std::size_t kTotal = 10000;
+    constexpr std::size_t kBatch = 50;
+    Fleet fleet(group_of(4, 1), sim::Topology::kLan4);
+    std::size_t heap_warm = 0;
+    for (std::size_t k = 0; k < kTotal; ++k) {
+      fleet.nodes[k % 4]->submit(util::to_bytes("retained-" + std::to_string(k)));
+      if ((k + 1) % kBatch != 0) continue;
+      fleet.sim.run();
+      if (k + 1 == kWarm) heap_warm = mallinfo2().uordblks;
+    }
+    const std::size_t heap_end = mallinfo2().uordblks;
+    const abcast::AtomicBroadcast& node = *fleet.nodes[1];
+    std::printf("  delivered %llu; retained: %zu sequence numbers, %zu payload bodies\n",
+                static_cast<unsigned long long>(node.delivered_count()),
+                node.retained_seqs(), node.retained_payloads());
+    std::printf("  heap retained per delivery per replica: %.0f bytes\n",
+                (static_cast<double>(heap_end) - static_cast<double>(heap_warm)) /
+                    static_cast<double>((kTotal - kWarm) * fleet.nodes.size()));
   }
   return 0;
 }

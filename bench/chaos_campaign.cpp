@@ -306,6 +306,8 @@ int main(int argc, char** argv) {
         core::ChaosReport minimized = core::minimize_failure(cfg);
         std::cout << "minimized reproducer:\n" << minimized.to_string();
       });
-  std::cout << result.runs << " runs, " << result.failures.size() << " failures\n";
+  std::cout << result.runs << " runs, " << result.failures.size()
+            << " failures, deliveries per run " << result.min_delivered << ".."
+            << result.max_delivered << "\n";
   return result.ok() ? 0 : 1;
 }

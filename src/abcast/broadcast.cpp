@@ -141,7 +141,10 @@ void AtomicBroadcast::fast_forward(std::uint64_t next_deliver) {
 
 void AtomicBroadcast::note_payload(Bytes payload) {
   const Digest d = digest_of(payload);
-  const bool fresh = payloads_.emplace(d, std::move(payload)).second;
+  // A delivered payload is never stored twice: inside the window it is still
+  // held, and past it it stays released.
+  const bool fresh =
+      !delivered_.count(d) && payloads_.emplace(d, std::move(payload)).second;
   if (!delivered_.count(d) && !pending_.count(d)) {
     pending_.emplace(d, cb_.now ? cb_.now() : 0.0);
     arm_timer();
@@ -152,8 +155,8 @@ void AtomicBroadcast::note_payload(Bytes payload) {
     // deliver callback may re-enter and grow slots_.
     std::vector<std::uint64_t> waiting;
     for (const auto& [key, sl] : slots_) {
-      if (key.first == epoch_ && sl.digest && *sl.digest == d && !sl.echo_sent) {
-        waiting.push_back(key.second);
+      if (key.second == epoch_ && sl.digest && *sl.digest == d && !sl.echo_sent) {
+        waiting.push_back(key.first);
       }
     }
     for (std::uint64_t s : waiting) maybe_echo(epoch_, s);
@@ -198,7 +201,8 @@ void AtomicBroadcast::leader_order_pending() {
 }
 
 void AtomicBroadcast::maybe_echo(unsigned epoch, std::uint64_t seq) {
-  if (epoch != epoch_ || in_epoch_change_) return;
+  // Below the window the slot is released; an echo there would recreate it.
+  if (epoch != epoch_ || in_epoch_change_ || seq < retain_floor()) return;
   Slot& sl = slot(epoch, seq);
   if (!sl.digest || sl.echo_sent) return;
   auto committed = committed_.find(seq);
@@ -207,8 +211,10 @@ void AtomicBroadcast::maybe_echo(unsigned epoch, std::uint64_t seq) {
   // hold — an equivocating leader could otherwise gather a quorum on a
   // phantom digest and wedge delivery at this sequence number forever. Ask
   // for the payload instead; note_payload() re-runs this echo when it lands.
-  // (The null digest is the epoch-change no-op and carries no payload.)
-  if (*sl.digest != kNullDigest && !payloads_.count(*sl.digest)) {
+  // (The null digest is the epoch-change no-op and carries no payload; a
+  // delivered digest is skipped at delivery, so its released body is moot.)
+  if (*sl.digest != kNullDigest && !payloads_.count(*sl.digest) &&
+      !delivered_.count(*sl.digest)) {
     if (requested_payloads_.insert(*sl.digest).second) {
       Writer w;
       w.u8(kGetPayload);
@@ -288,7 +294,7 @@ void AtomicBroadcast::handle_order(unsigned from, Reader& r) {
   // leader starts ordering the moment it adopts the new epoch, which can be
   // before this node has processed the NEWEPOCH. The echo itself is gated
   // on having entered the epoch (maybe_echo); adopt_new_epoch replays it.
-  if (from != leader_of(epoch) || epoch < epoch_) return;
+  if (from != leader_of(epoch) || epoch < epoch_ || seq < retain_floor()) return;
   Slot& sl = slot(epoch, seq);
   if (sl.digest) return;  // first binding wins; equivocation cannot re-bind
   sl.digest = d;
@@ -300,6 +306,7 @@ void AtomicBroadcast::handle_echo(unsigned from, Reader& r) {
   const std::uint64_t seq = r.u64();
   const Digest d = read_digest(r);
   const Bytes sig = r.lp16();
+  if (seq < retain_floor()) return;
   Slot& sl = slot(epoch, seq);
   if (sl.echoes.count(from)) return;
   charge(threshold::CostEvent::kAuthVerify);
@@ -345,6 +352,7 @@ void AtomicBroadcast::handle_commit(unsigned from, Reader& r) {
   const std::uint64_t seq = r.u64();
   const Digest d = read_digest(r);
   const Bytes sig = r.lp16();
+  if (seq < retain_floor()) return;
   Slot& sl = slot(epoch, seq);
   if (sl.commits.count(from)) return;
   charge(threshold::CostEvent::kAuthVerify);
@@ -402,13 +410,20 @@ void AtomicBroadcast::commit(std::uint64_t seq, const Digest& d, const Cert* cer
     broadcast(std::move(w).take());
   }
   try_deliver();
+  // Still a full window short of this binding: whatever this node lacks
+  // below it may already be released everywhere, so no vote or GETPAYLOAD
+  // will fill the gap. Only state transfer can.
+  if (seq >= next_deliver_ + kRetainWindow && seq >= fell_behind_at_ + kRetainWindow) {
+    fell_behind_at_ = seq;
+    if (cb_.fell_behind) cb_.fell_behind();
+  }
 }
 
 void AtomicBroadcast::handle_committed(unsigned, Reader& r) {
   const unsigned epoch = r.u32();
   const std::uint64_t seq = r.u64();
   const Digest d = read_digest(r);
-  if (committed_.count(seq)) return;
+  if (seq < retain_floor() || committed_.count(seq)) return;
   const std::uint16_t count = r.u16();
   std::set<unsigned> seen;
   std::vector<std::pair<unsigned, Bytes>> sigs;
@@ -444,30 +459,55 @@ void AtomicBroadcast::handle_payload(unsigned, Reader& r) {
 void AtomicBroadcast::try_deliver() {
   for (;;) {
     auto it = committed_.find(next_deliver_);
-    if (it == committed_.end()) return;
+    if (it == committed_.end()) break;
     const Digest& d = it->second;
-    if (d == kNullDigest) {
-      ++next_deliver_;
-      continue;
-    }
-    auto payload = payloads_.find(d);
-    if (payload == payloads_.end()) {
-      if (requested_payloads_.insert(d).second) {
-        Writer w;
-        w.u8(kGetPayload);
-        write_digest(w, d);
-        broadcast(std::move(w).take());
+    // The null digest is a no-op; a digest bound twice is delivered once.
+    if (d != kNullDigest && !delivered_.count(d)) {
+      auto payload = payloads_.find(d);
+      if (payload == payloads_.end()) {
+        if (requested_payloads_.insert(d).second) {
+          Writer w;
+          w.u8(kGetPayload);
+          write_digest(w, d);
+          broadcast(std::move(w).take());
+        }
+        break;  // stalled until the payload arrives
       }
-      return;  // stalled until the payload arrives
-    }
-    if (!delivered_.count(d)) {
       delivered_.insert(d);
       pending_.erase(d);
       c_deliver_->inc();
+      ++delivering_;
       if (cb_.deliver) cb_.deliver(payload->second);
+      --delivering_;
     }
     ++next_deliver_;
   }
+  if (delivering_ == 0) release_below_window();
+}
+
+void AtomicBroadcast::release_below_window() {
+  const std::uint64_t floor = retain_floor();
+  // committed_ names the digest of every sequence number the cursor passed
+  // here (state transfer skips some; their payloads are not released).
+  const auto end = committed_.lower_bound(floor);
+  for (auto it = committed_.begin(); it != end; ++it) {
+    payloads_.erase(it->second);
+    ordered_.erase(it->second);
+    requested_payloads_.erase(it->second);
+  }
+  committed_.erase(committed_.begin(), end);
+  commit_certs_.erase(commit_certs_.begin(), commit_certs_.lower_bound(floor));
+  prepared_certs_.erase(prepared_certs_.begin(), prepared_certs_.lower_bound(floor));
+  slots_.erase(slots_.begin(), slots_.lower_bound({floor, 0}));
+}
+
+std::size_t AtomicBroadcast::retained_seqs() const {
+  std::set<std::uint64_t> seqs;
+  for (const auto& entry : slots_) seqs.insert(entry.first.first);
+  for (const auto& entry : committed_) seqs.insert(entry.first);
+  for (const auto& entry : commit_certs_) seqs.insert(entry.first);
+  for (const auto& entry : prepared_certs_) seqs.insert(entry.first);
+  return seqs.size();
 }
 
 // ---- fall-back path ---------------------------------------------------------
@@ -836,19 +876,22 @@ bool AtomicBroadcast::adopt_new_epoch(unsigned target,
 
   // Re-run agreement in the new epoch for every sequence number that might
   // have committed somewhere: the best prepared binding, or a no-op.
+  // (Echoing can deliver, so the cursor may pass s mid-loop.)
   for (std::uint64_t s = next_deliver_; s < fresh_base; ++s) {
-    if (committed_.count(s)) continue;
+    if (s < next_deliver_ || committed_.count(s)) continue;
     Slot& sl = slot(epoch_, s);
     auto it = best_prepared.find(s);
     sl.digest = it != best_prepared.end() ? it->second.digest : kNullDigest;
     maybe_echo(epoch_, s);
   }
   // Replay bindings the new leader ordered before we finished adopting.
-  for (auto& [key, sl] : slots_) {
-    if (key.first == epoch_ && sl.digest && !sl.echo_sent) {
-      maybe_echo(epoch_, key.second);
-    }
+  // Snapshot first: echoing can deliver, which releases slots below the
+  // window.
+  std::vector<std::uint64_t> unechoed;
+  for (const auto& [key, sl] : slots_) {
+    if (key.second == epoch_ && sl.digest && !sl.echo_sent) unechoed.push_back(key.first);
   }
+  for (std::uint64_t s : unechoed) maybe_echo(epoch_, s);
   if (is_leader()) leader_order_pending();
   arm_timer();
   c_epoch_adopted_->inc();

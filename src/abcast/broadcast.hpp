@@ -17,6 +17,12 @@
 //   Delivery strictly in sequence order once payloads are known
 //   (GETPAYLOAD/PAYLOAD fills gaps).
 //
+// Retention: per-sequence state (slots, commit bindings, certificates,
+// payload bodies, leader bookkeeping) is kept for the last kRetainWindow
+// delivered sequence numbers only. Votes for older sequence numbers are
+// dropped unverified; a peer that far behind catches up by state transfer.
+// Only the delivered digests (at-most-once delivery) are kept for good.
+//
 // Fall-back: a node whose pending payload is not delivered within the
 // complaint timeout broadcasts a signed COMPLAIN; t+1 complaints are joined,
 // 2t+1 complaints start a binary-agreement instance on "abandon epoch e?".
@@ -51,6 +57,11 @@ using Digest = std::array<std::uint8_t, 32>;
 
 class AtomicBroadcast {
  public:
+  /// Delivered sequence numbers whose state is retained (see the header
+  /// comment): late votes inside it land as usual, GETPAYLOAD is served for
+  /// its deliveries, and state below it is freed as the cursor advances.
+  static constexpr std::uint64_t kRetainWindow = 256;
+
   struct Callbacks {
     std::function<void(unsigned to, const util::Bytes&)> send;
     /// Total-order output, same sequence at every honest node.
@@ -60,6 +71,11 @@ class AtomicBroadcast {
     /// Cost hook (messages, authenticators, common-coin crypto); may be
     /// empty.
     std::function<void(threshold::CostEvent)> charge;
+    /// A commit landed a full kRetainWindow past the delivery cursor: the
+    /// peers may have released what this node still needs below it, so the
+    /// owner should start state transfer. Fires at most once per window of
+    /// sequence numbers; may be empty.
+    std::function<void()> fell_behind;
     /// Metrics sink (owned by the caller, must outlive the broadcast);
     /// null components count into a shared no-op sink.
     obs::Registry* metrics = nullptr;
@@ -93,6 +109,14 @@ class AtomicBroadcast {
   unsigned id() const { return secret_.id; }
   bool is_leader() const { return epoch_ % pub_->n == secret_.id; }
   std::uint64_t delivered_count() const { return next_deliver_; }
+  /// Sequence numbers below this have had their state released.
+  std::uint64_t retain_floor() const {
+    return next_deliver_ > kRetainWindow ? next_deliver_ - kRetainWindow : 0;
+  }
+  /// Distinct sequence numbers holding slot, commit or certificate state.
+  std::size_t retained_seqs() const;
+  /// Payload bodies held: undelivered ones plus the window's deliveries.
+  std::size_t retained_payloads() const { return payloads_.size(); }
   /// Whether a byte-identical payload has already come through total order
   /// at this node. Delivered digests are never re-ordered (note_payload
   /// drops them), so a submitter waiting on this digest would wait forever.
@@ -151,7 +175,7 @@ class AtomicBroadcast {
     if (cb_.charge) cb_.charge(e);
   }
   unsigned leader_of(unsigned epoch) const { return epoch % pub_->n; }
-  Slot& slot(unsigned epoch, std::uint64_t seq) { return slots_[{epoch, seq}]; }
+  Slot& slot(unsigned epoch, std::uint64_t seq) { return slots_[{seq, epoch}]; }
 
   void handle_submit(unsigned from, util::Reader& r);
   void handle_order(unsigned from, util::Reader& r);
@@ -175,6 +199,9 @@ class AtomicBroadcast {
   void commit(std::uint64_t seq, const Digest& d, const Cert* cert_to_share,
               bool via_epoch_change = false);
   void try_deliver();
+  /// Free per-sequence state below retain_floor(); never called while the
+  /// deliver callback is running (it may hold a payload reference).
+  void release_below_window();
   void arm_timer();
   void on_timer();
   void start_fallback_vote(bool my_input);
@@ -206,7 +233,7 @@ class AtomicBroadcast {
 
   std::uint64_t next_deliver_ = 0;    ///< lowest undelivered sequence number
   std::uint64_t next_order_seq_ = 0;  ///< leader: next fresh sequence
-  std::map<std::pair<unsigned, std::uint64_t>, Slot> slots_;
+  std::map<std::pair<std::uint64_t, unsigned>, Slot> slots_;  // (seq, epoch)
   std::map<std::uint64_t, Digest> committed_;          // seq -> digest
   std::map<std::uint64_t, Cert> commit_certs_;         // seq -> commit cert
   std::map<std::uint64_t, Cert> prepared_certs_;       // seq -> best prepared cert
@@ -215,6 +242,8 @@ class AtomicBroadcast {
   std::map<Digest, double> pending_;                   // digest -> submit time
   std::set<Digest> ordered_;                           // leader bookkeeping
   std::set<Digest> requested_payloads_;
+  std::uint64_t fell_behind_at_ = 0;  ///< seq that last fired fell_behind
+  unsigned delivering_ = 0;           ///< deliver callbacks on the stack
 
   // Fall-back state.
   std::map<std::pair<unsigned, std::uint32_t>, std::map<unsigned, util::Bytes>>

@@ -23,6 +23,8 @@ ns2   IN A   192.0.2.54
 www   IN A   192.0.2.80
 )";
 
+void drive_chaos(const ChaosConfig& cfg, ReplicatedService& svc, ChaosReport& report);
+
 const CorruptionMode kByzantineModes[] = {
     CorruptionMode::kFlipShares,   CorruptionMode::kMute,
     CorruptionMode::kStaleReplay,  CorruptionMode::kEquivocate,
@@ -56,7 +58,8 @@ std::string ChaosReport::to_string() const {
     }
   }
   os << "fault schedule:\n" << schedule.to_string();
-  os << "workload: " << ops_ok << "/" << ops_attempted << " ops succeeded\n";
+  os << "workload: " << ops_ok << "/" << ops_attempted << " ops succeeded, " << delivered
+     << " deliveries\n";
   if (violations.empty()) {
     os << "invariants: all hold\n";
   } else {
@@ -223,6 +226,28 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   };
   adversary.install(report.schedule);
 
+  try {
+    drive_chaos(cfg, svc, report);
+  } catch (const sim::EventCapExceeded& e) {
+    // A runaway protocol: report it against the seed like any violation, so
+    // a campaign goes on to the next seed and the run replays.
+    std::ostringstream detail;
+    detail << e.what() << " at t=" << svc.sim().now() << "s";
+    report.violations.push_back({"liveness", detail.str()});
+  }
+  for (unsigned i = 0; i < svc.n(); ++i) {
+    if (!report.corruption.count(i)) {
+      report.delivered = std::max(report.delivered, svc.replica(i).observe().delivered);
+    }
+  }
+  return report;
+}
+
+namespace {
+
+/// The seeded workload, quiesce, convergence rounds, probes and the final
+/// invariant check of one run_chaos scenario.
+void drive_chaos(const ChaosConfig& cfg, ReplicatedService& svc, ChaosReport& report) {
   // ---- seeded workload under fire ----
   util::Rng wrng(cfg.seed, kWorkloadStream);
   std::vector<dns::Name> added;
@@ -311,8 +336,9 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   auto violations = check_observations(obs, svc.t(), fault_free);
   report.violations.insert(report.violations.end(), violations.begin(),
                            violations.end());
-  return report;
 }
+
+}  // namespace
 
 ChaosReport minimize_failure(ChaosConfig cfg) {
   ChaosReport failing = run_chaos(cfg);
@@ -346,6 +372,9 @@ CampaignResult run_campaign(const ChaosConfig& base, std::uint64_t first_seed,
     ChaosConfig cfg = base;
     cfg.seed = first_seed + i;
     ChaosReport report = run_chaos(cfg);
+    result.min_delivered =
+        result.runs == 0 ? report.delivered : std::min(result.min_delivered, report.delivered);
+    result.max_delivered = std::max(result.max_delivered, report.delivered);
     ++result.runs;
     if (!report.ok()) {
       if (on_failure) on_failure(report);

@@ -68,6 +68,7 @@ struct ChaosReport {
   std::map<unsigned, CorruptionMode> corruption;
   std::size_t ops_attempted = 0;
   std::size_t ops_ok = 0;  ///< ops may fail mid-chaos; only probes must pass
+  std::uint64_t delivered = 0;  ///< highest honest delivery cursor at the end
   std::vector<ChaosViolation> violations;
 
   bool ok() const { return violations.empty(); }
@@ -104,6 +105,8 @@ ChaosReport minimize_failure(ChaosConfig cfg);
 
 struct CampaignResult {
   std::size_t runs = 0;
+  std::uint64_t min_delivered = 0;  ///< over every run's ChaosReport::delivered
+  std::uint64_t max_delivered = 0;
   std::vector<ChaosReport> failures;
   bool ok() const { return failures.empty(); }
 };

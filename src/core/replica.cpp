@@ -193,6 +193,10 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
     acb.now = cb_.now;
     acb.set_timer = cb_.set_timer;
     acb.charge = cb_.charge;
+    // Peers only keep a window of sequence state; a replica that fell
+    // further behind catches up by state transfer, without waiting for an
+    // operator to ask.
+    acb.fell_behind = [this] { start_recovery(); };
     acb.metrics = metrics_;
     abcast::AtomicBroadcast::Options opt;
     opt.complaint_timeout = config_.complaint_timeout;
@@ -381,9 +385,16 @@ void ReplicaNode::handle_snapshot_request(unsigned from, BytesView body) {
   }
   // Only serve a consistent point: between operations, with the execution
   // queue drained, the zone reflects exactly `deliveries_` executed requests.
-  if (executing_ || !exec_queue_.empty()) return;
-  cb_.send_replica(from,
-                   frame(kSnapshotFrame, store::encode_zone_state(make_store_state())));
+  // Mid-operation, execute_next() answers once the pipeline drains.
+  snapshot_waiters_.insert(from);
+  if (!executing_ && exec_queue_.empty()) serve_snapshot_waiters();
+}
+
+void ReplicaNode::serve_snapshot_waiters() {
+  if (snapshot_waiters_.empty()) return;
+  const Bytes msg = frame(kSnapshotFrame, store::encode_zone_state(make_store_state()));
+  for (const unsigned to : snapshot_waiters_) cb_.send_replica(to, msg);
+  snapshot_waiters_.clear();
 }
 
 void ReplicaNode::handle_snapshot_current(unsigned from, BytesView body) {
@@ -613,11 +624,12 @@ void ReplicaNode::execute_next() {
     // signature work leave it set until finish_update().
   }
   // Idle between operations: the zone reflects exactly `deliveries_`
-  // executed requests, so the store may take a consistent snapshot (it
-  // does only when its log-bytes threshold says one is due).
-  if (!executing_ && exec_queue_.empty() && !recovering_) {
-    store_->maybe_snapshot([this] { return make_store_state(); });
-  }
+  // executed requests, so waiting peers get their snapshot and the store
+  // may take a consistent one (only when its log-bytes threshold says one
+  // is due).
+  if (executing_ || !exec_queue_.empty()) return;
+  serve_snapshot_waiters();
+  if (!recovering_) store_->maybe_snapshot([this] { return make_store_state(); });
 }
 
 void ReplicaNode::execute(const Bytes& payload) {

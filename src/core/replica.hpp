@@ -19,6 +19,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <set>
 
 #include "abcast/broadcast.hpp"
 #include "core/config.hpp"
@@ -203,6 +204,7 @@ class ReplicaNode {
   void handle_snapshot(unsigned from, util::BytesView body);
   void handle_snapshot_current(unsigned from, util::BytesView body);
   void try_finish_recovery();
+  void serve_snapshot_waiters();
   void stand_down_recovery(const char* why);
   store::ZoneState make_store_state() const;
   /// The one install path behind restore_from_store and recovery adoption:
@@ -314,6 +316,10 @@ class ReplicaNode {
   /// (their cursor <= ours) instead of a full snapshot.
   std::map<unsigned, std::uint64_t> recovery_current_acks_;
   std::uint64_t recoveries_completed_ = 0;
+  /// Peers whose snapshot request arrived mid-operation; answered as soon
+  /// as the execution pipeline drains (dropping it would leave the
+  /// requester recovering for good under steady update traffic).
+  std::set<unsigned> snapshot_waiters_;
 };
 
 }  // namespace sdns::core

@@ -398,15 +398,9 @@ void DnsFrontend::handle_udp_datagram(BytesView wire, const sockaddr_in& sa) {
 
 void DnsFrontend::on_listener_ready() {
   for (;;) {
-    const int fd = retry_accept(listen_fd_, nullptr, nullptr);
+    const int fd = tcp_accept(listen_fd_);
     if (fd < 0) break;
     if (conns_.size() >= opt_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    try {
-      set_nonblocking(fd);
-    } catch (const NetError&) {
       ::close(fd);
       continue;
     }

@@ -222,17 +222,11 @@ void Mesh::handle_frame(Peer& p, const Bytes& payload) {
 
 void Mesh::on_listener_ready() {
   for (;;) {
-    const int fd = retry_accept(listen_fd_, nullptr, nullptr);
+    const int fd = tcp_accept(listen_fd_);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       SDNS_LOG_WARN("mesh ", opt_.self, ": accept failed");
       break;
-    }
-    try {
-      set_nonblocking(fd);
-    } catch (const NetError&) {
-      ::close(fd);
-      continue;
     }
     PendingConn pc;
     pc.fd = fd;

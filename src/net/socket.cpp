@@ -172,11 +172,16 @@ ssize_t retry_recvfrom(int fd, void* buf, std::size_t len, int flags,
   }
 }
 
-int retry_accept(int fd, sockaddr* addr, socklen_t* addr_len) {
-  for (;;) {
-    const int conn = ::accept(fd, addr, addr_len);
-    if (conn >= 0 || errno != EINTR) return conn;
+int tcp_accept(int listen_fd) {
+  int fd;
+  do {
+    fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd >= 0) {
+    int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   }
+  return fd;
 }
 
 int retry_recvmmsg(int fd, mmsghdr* msgs, unsigned vlen, int flags) {

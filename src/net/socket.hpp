@@ -55,6 +55,14 @@ int tcp_listen(const SockAddr& addr, bool reuseport = false);
 /// still in progress (poll for writability, then check SO_ERROR).
 int tcp_connect(const SockAddr& addr);
 
+/// Accept one connection from a non-blocking listener: the stream comes back
+/// non-blocking, close-on-exec and with Nagle off, like tcp_connect's. Both
+/// ends must disable Nagle — protocol rounds send several small frames back
+/// to back, and with Nagle on the accepting end the second one waits for
+/// the peer's delayed ACK (~40 ms). Returns -1 with errno set (EAGAIN once
+/// the backlog is drained); EINTR is retried.
+int tcp_accept(int listen_fd);
+
 /// The error accumulated on a socket (SO_ERROR), 0 if none.
 int socket_error(int fd);
 
@@ -68,7 +76,6 @@ ssize_t retry_sendto(int fd, const void* buf, std::size_t len, int flags,
                      const sockaddr* addr, socklen_t addr_len);
 ssize_t retry_recvfrom(int fd, void* buf, std::size_t len, int flags,
                        sockaddr* addr, socklen_t* addr_len);
-int retry_accept(int fd, sockaddr* addr, socklen_t* addr_len);
 
 // Kernel-batched UDP: one syscall moves up to `vlen` datagrams. Partial-count
 // semantics are the syscall's own — recvmmsg returns however many datagrams

@@ -418,6 +418,9 @@ core::ChaosReport run_wire_chaos(const WireCluster& cluster,
   const bool fault_free = schedule.faults.empty() && report.corruption.empty();
   const auto safety_check = [&] {
     const auto obs = observe_honest();
+    for (const core::ReplicaObservation& o : obs) {
+      report.delivered = std::max(report.delivered, o.delivered);
+    }
     return unobserved.empty() ? core::check_observations(obs, report.t, fault_free)
                               : unobserved;
   };

@@ -1,7 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <stdexcept>
-
 namespace sdns::sim {
 
 void Simulator::schedule_at(Time t, std::function<void()> fn) {
@@ -11,7 +9,7 @@ void Simulator::schedule_at(Time t, std::function<void()> fn) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  if (++processed_ > cap_) throw std::runtime_error("simulator event cap exceeded");
+  if (++processed_ > cap_) throw EventCapExceeded();
   // priority_queue::top returns const&; move out via const_cast is UB — copy
   // the function instead (events are small closures).
   Event ev = queue_.top();

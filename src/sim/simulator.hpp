@@ -9,11 +9,19 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 namespace sdns::sim {
 
 using Time = double;  ///< virtual seconds
+
+/// Thrown by step() when the event cap trips: a protocol that keeps the
+/// queue busy without ever draining it.
+class EventCapExceeded : public std::runtime_error {
+ public:
+  EventCapExceeded() : std::runtime_error("simulator event cap exceeded") {}
+};
 
 class Simulator {
  public:

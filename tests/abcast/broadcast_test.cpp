@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "sim/network.hpp"
@@ -42,6 +43,7 @@ struct Harness {
     net.set_jitter(0.1);
     Rng seed(98);
     delivered.resize(g.pub->n);
+    verifies.resize(g.pub->n);
     for (unsigned i = 0; i < g.pub->n; ++i) {
       AtomicBroadcast::Callbacks cb;
       cb.send = [this, i](unsigned to, const Bytes& m) { net.send(i, to, m); };
@@ -51,6 +53,9 @@ struct Harness {
         sim.schedule(delay, [this, i, fn = std::move(fn)] {
           net.cpu(i).enqueue(sim.now(), fn);
         });
+      };
+      cb.charge = [this, i](threshold::CostEvent e) {
+        if (e == threshold::CostEvent::kAuthVerify) ++verifies[i];
       };
       AtomicBroadcast::Options opt;
       opt.complaint_timeout = timeout;
@@ -79,12 +84,24 @@ struct Harness {
     }
   }
 
+  /// Submit `count` payloads named "<prefix><k>", round-robin over the
+  /// nodes, `batch` at a time, running the network dry after each batch.
+  void submit_batches(const std::string& prefix, std::size_t count, std::size_t batch = 16) {
+    for (std::size_t k = 0; k < count; ++k) {
+      nodes[k % nodes.size()]->submit(to_bytes(prefix + std::to_string(k)));
+      if ((k + 1) % batch == 0 || k + 1 == count) sim.run();
+    }
+  }
+
   const Group& group;
   Simulator sim;
   Network net;
   std::vector<std::unique_ptr<AtomicBroadcast>> nodes;
   std::vector<std::vector<Bytes>> delivered;
+  std::vector<std::uint64_t> verifies;  ///< kAuthVerify charges per node
 };
+
+constexpr std::uint64_t kWindow = AtomicBroadcast::kRetainWindow;
 
 TEST(AtomicBroadcast, SinglePayloadDeliveredEverywhere) {
   Harness h(group_4());
@@ -276,6 +293,103 @@ TEST(AtomicBroadcast, LatePayloadFetchedViaGetPayload) {
   h.sim.run();
   h.expect_total_order({}, 1);
   ASSERT_EQ(h.delivered[3].size(), 1u);
+}
+
+TEST(AtomicBroadcast, StateBelowWindowIsReleased) {
+  // Per-sequence state (slots, commit bindings, certificates, payload
+  // bodies) is kept for the last kRetainWindow deliveries only, so memory
+  // stays flat however many updates a replica has committed.
+  Harness h(group_4());
+  constexpr std::size_t kBatch = 16;
+  const std::size_t total = 4 * kWindow + 10;
+  std::size_t peak_seqs = 0;
+  std::size_t peak_payloads = 0;
+  for (std::size_t done = 0; done < total; done += kBatch) {
+    const std::size_t count = std::min(kBatch, total - done);
+    for (std::size_t k = done; k < done + count; ++k) {
+      h.nodes[k % 4]->submit(to_bytes("p" + std::to_string(k)));
+    }
+    h.sim.run();
+    for (const auto& node : h.nodes) {
+      peak_seqs = std::max(peak_seqs, node->retained_seqs());
+      peak_payloads = std::max(peak_payloads, node->retained_payloads());
+    }
+  }
+  h.expect_total_order({}, total);
+  for (const auto& node : h.nodes) {
+    EXPECT_EQ(node->delivered_count(), total);
+    EXPECT_EQ(node->retain_floor(), total - kWindow);
+    EXPECT_LE(node->retained_seqs(), kWindow);
+  }
+  EXPECT_LE(peak_seqs, kWindow + kBatch);
+  EXPECT_LE(peak_payloads, kWindow + kBatch);
+}
+
+TEST(AtomicBroadcast, LateVoteBelowWindowIsDroppedUnverified) {
+  // A vote for a released sequence number can change nothing (the slot is
+  // delivered everywhere that matters), so it must cost no RSA verify and
+  // must not recreate the state the window freed.
+  Harness h(group_4());
+  h.submit_batches("p", kWindow + 20);
+  h.expect_total_order({}, kWindow + 20);
+  AtomicBroadcast& node = *h.nodes[1];
+  ASSERT_GT(node.retain_floor(), 0u);
+  const std::uint64_t old_seq = 0;
+  const Digest d = AtomicBroadcast::digest_of(to_bytes("p0"));
+  const std::size_t seqs_before = node.retained_seqs();
+  const std::size_t payloads_before = node.retained_payloads();
+  const std::uint64_t verifies_before = h.verifies[1];
+
+  auto vote = [&](std::uint8_t type) {
+    util::Writer w;
+    w.u8(type);
+    w.u32(0);
+    w.u64(old_seq);
+    w.raw(d.data(), d.size());
+    w.lp16(to_bytes("unverified signature"));
+    return std::move(w).take();
+  };
+  util::Writer committed;
+  committed.u8(0xA5);  // kCommitted: a certificate of three signatures
+  committed.u32(0);
+  committed.u64(old_seq);
+  committed.raw(d.data(), d.size());
+  committed.u16(3);
+  for (unsigned signer = 0; signer < 3; ++signer) {
+    committed.u32(signer);
+    committed.lp16(to_bytes("unverified signature"));
+  }
+  node.on_message(0, AtomicBroadcast::encode_order(0, old_seq, d));
+  node.on_message(2, AtomicBroadcast::encode_echo(0, old_seq, d, h.group.secrets[2]));
+  node.on_message(3, vote(0xA4));  // kCommit
+  node.on_message(3, committed.bytes());
+  h.sim.run();
+
+  EXPECT_EQ(h.verifies[1], verifies_before);
+  EXPECT_EQ(node.retained_seqs(), seqs_before);
+  EXPECT_EQ(node.retained_payloads(), payloads_before);
+  EXPECT_EQ(node.delivered_count(), kWindow + 20);
+}
+
+TEST(AtomicBroadcast, ResubmittedOldPayloadStillDeliveredOnce) {
+  // At-most-once delivery outlives the window: the delivered digest set is
+  // kept even after the payload body and its sequence state are released.
+  Harness h(group_4());
+  const Bytes old = to_bytes("delivered-long-ago");
+  h.nodes[1]->submit(old);
+  h.sim.run();
+  h.submit_batches("later", kWindow + 10);
+  ASSERT_GT(h.nodes[2]->retain_floor(), 0u);
+
+  h.nodes[2]->submit(old);
+  h.nodes[3]->on_message(1, AtomicBroadcast::encode_submit(old));
+  h.sim.run();
+  h.expect_total_order({}, kWindow + 11);
+  for (unsigned i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::count(h.delivered[i].begin(), h.delivered[i].end(), old), 1) << i;
+    EXPECT_EQ(h.nodes[i]->pending_count(), 0u) << i;
+    EXPECT_TRUE(h.nodes[i]->already_delivered(AtomicBroadcast::digest_of(old))) << i;
+  }
 }
 
 TEST(AtomicBroadcast, StatsExposed) {

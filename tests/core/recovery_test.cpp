@@ -108,6 +108,37 @@ TEST(Recovery, RecoveredReplicaExecutesSubsequentUpdates) {
             svc.replica(0).server().zone().soa()->serial);
 }
 
+TEST(Recovery, ReplicaMoreThanAWindowBehindStartsStateTransferItself) {
+  // Peers keep only a window of abcast sequence state, so a replica that
+  // misses more than that can never fill the gap by votes or GETPAYLOAD.
+  // The first commit it sees past the window makes it start state transfer
+  // on its own; nobody calls start_recovery().
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  ReplicatedService svc(opt, kOrigin, kZoneText);
+  constexpr std::uint64_t kWindow = abcast::AtomicBroadcast::kRetainWindow;
+  partition_replica(svc, 3, true);
+  for (std::uint64_t k = 0; k < kWindow + 8; ++k) {
+    ASSERT_TRUE(svc.add_record(Name::parse("p" + std::to_string(k) + ".rec.example."),
+                               "10.0.0.1")
+                    .ok)
+        << k;
+  }
+  svc.settle();
+  ASSERT_GT(svc.replica(0).observe().delivered, kWindow);
+  EXPECT_EQ(svc.replica(3).observe().delivered, 0u);
+
+  partition_replica(svc, 3, false);
+  ASSERT_TRUE(svc.add_record(Name::parse("after.rec.example."), "10.0.0.2").ok);
+  svc.settle();
+  EXPECT_FALSE(svc.replica(3).recovering());
+  EXPECT_EQ(svc.replica(3).recoveries_completed(), 1u);
+  EXPECT_EQ(svc.replica(3).observe().delivered, svc.replica(0).observe().delivered);
+  EXPECT_EQ(svc.replica(3).server().zone().to_text(),
+            svc.replica(0).server().zone().to_text());
+  for (unsigned i = 0; i < 3; ++i) EXPECT_EQ(svc.replica(i).recoveries_completed(), 0u) << i;
+}
+
 TEST(Recovery, CorruptSnapshotIsRejectedBySignatureCheck) {
   // A corrupted (stale-replay) server also serves snapshots; recovery must
   // still land on a fresh verified zone because it takes the max verified

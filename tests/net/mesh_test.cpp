@@ -1,12 +1,14 @@
 // Authenticated replica mesh over real loopback TCP: handshake, both-way
 // delivery, pre-connection backlog, oversize-frame accounting, reconnect
-// with backoff, and rejection of unauthenticated peers.
+// with backoff, rejection of unauthenticated peers, and small-frame bursts
+// from the accepting end.
 #include "net/mesh.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <map>
 
 #include "net/loop.hpp"
@@ -26,6 +28,8 @@ std::uint16_t free_port() {
 
 struct TestMesh {
   std::map<unsigned, std::vector<Bytes>> received;
+  /// Runs after each message is recorded (may send).
+  std::function<void(unsigned from)> on_receive;
   std::unique_ptr<Mesh> mesh;
 
   TestMesh(EventLoop& loop, unsigned self, const std::vector<SockAddr>& peers,
@@ -41,7 +45,10 @@ struct TestMesh {
     opt.write_cap = write_cap;
     mesh = std::make_unique<Mesh>(
         loop, opt,
-        [this](unsigned from, Bytes msg) { received[from].push_back(std::move(msg)); },
+        [this](unsigned from, Bytes msg) {
+          received[from].push_back(std::move(msg));
+          if (on_receive) on_receive(from);
+        },
         util::Rng(seed));
     mesh->start();
   }
@@ -159,6 +166,44 @@ TEST(Mesh, ReconnectsAfterPeerRestart) {
   ASSERT_EQ(b->received[1].size(), 1u);
   EXPECT_EQ(b->received[1][0], util::to_bytes("second"));
   EXPECT_GE(a.mesh->reconnects(), 1u);
+}
+
+TEST(Mesh, AcceptorSideBurstsDoNotWaitForDelayedAck) {
+  // The lower id accepts every link. An abcast or signing round sends
+  // several small frames back to back; with Nagle on the accepted stream
+  // the second frame of each burst waits for the peer's delayed ACK
+  // (~40 ms), so 50 rounds would take about two seconds.
+  EventLoop loop;
+  const Bytes secret = util::to_bytes("mesh secret");
+  std::vector<SockAddr> peers = {SockAddr::parse("127.0.0.1:0"),
+                                 SockAddr::parse("127.0.0.1:0")};
+  peers[0].port = free_port();
+  peers[1].port = free_port();
+  TestMesh acceptor(loop, 0, peers, secret, 1);
+  TestMesh initiator(loop, 1, peers, secret, 2);
+  initiator.mesh->send(0, util::to_bytes("hello"));
+  drive(loop, [&] { return !acceptor.received[1].empty(); });
+  ASSERT_TRUE(acceptor.mesh->connected(1));
+
+  constexpr int kRounds = 50;
+  int answered = 0;
+  const auto burst = [&] {
+    acceptor.mesh->send(1, util::to_bytes("first"));
+    acceptor.mesh->send(1, util::to_bytes("second"));
+  };
+  initiator.on_receive = [&](unsigned) {
+    if (initiator.received[0].size() % 2 == 0) initiator.mesh->send(0, util::to_bytes("ack"));
+  };
+  acceptor.on_receive = [&](unsigned) {
+    if (++answered < kRounds) burst();
+  };
+  const auto start = std::chrono::steady_clock::now();
+  burst();
+  drive(loop, [&] { return answered >= kRounds; }, 10.0);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_EQ(answered, kRounds);
+  EXPECT_LT(elapsed, 0.5) << kRounds << " rounds took " << elapsed << " s";
 }
 
 TEST(Mesh, RejectsPeerWithWrongSecret) {

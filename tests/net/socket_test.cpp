@@ -1,9 +1,12 @@
 // Wrapper-level tests for the batched-datagram syscalls: partial batches,
 // EINTR retry mid-wait, and the zero-datagram (EAGAIN) wakeup the frontend's
-// drain loop must treat as "queue empty", not as an error.
+// drain loop must treat as "queue empty", not as an error. Plus the options
+// both ends of a TCP stream must carry.
 #include "net/socket.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
@@ -177,6 +180,35 @@ TEST(Mmsg, RetriesRecvAfterEintr) {
 
   sigaction(SIGUSR1, &old, nullptr);
   ::close(rx);
+}
+
+int nodelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof value;
+  EXPECT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(Socket, AcceptedAndConnectedStreamsDisableNagle) {
+  // Mesh links and DNS TCP connections send small frames back to back; a
+  // stream with Nagle on holds the second one for the peer's delayed ACK.
+  const int listener = tcp_listen(loopback());
+  const int client = tcp_connect(local_addr(listener));
+  pollfd ready{listener, POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, 5000), 1);
+  const int server = tcp_accept(listener);
+  ASSERT_GE(server, 0);
+  EXPECT_EQ(nodelay(client), 1);
+  EXPECT_EQ(nodelay(server), 1);
+  EXPECT_NE(fcntl(server, F_GETFL) & O_NONBLOCK, 0);
+  EXPECT_NE(fcntl(server, F_GETFD) & FD_CLOEXEC, 0);
+  // A drained backlog is EAGAIN, the accept loops' exit.
+  errno = 0;
+  EXPECT_EQ(tcp_accept(listener), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+  ::close(server);
+  ::close(client);
+  ::close(listener);
 }
 
 }  // namespace

@@ -212,6 +212,21 @@ TEST(Chaos, SmokeCampaignInternet7TwoByzantine) {
   for (const ChaosReport& f : r.failures) ADD_FAILURE() << f.to_string();
 }
 
+TEST(Chaos, PeersBusyWhenAPartitionHealsStillServeTheSnapshot) {
+  // Seed 2 heals a partitioned replica while its peers are mid-update. A
+  // snapshot request that arrives mid-operation is answered once the peer's
+  // pipeline drains; were it dropped, the replica would stay recovering and
+  // re-announce its ever-growing pending set until the event cap tripped.
+  // 400 operations also carry the run well past two retention windows.
+  ChaosConfig cfg;
+  cfg.seed = 2;
+  cfg.byzantine = 1;
+  cfg.operations = 400;
+  const ChaosReport r = run_chaos(cfg);
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_GT(r.delivered, 2 * abcast::AtomicBroadcast::kRetainWindow);
+}
+
 // Beyond the fault bound the harness must FAIL: mute n-t signers so only t
 // shares remain — below the t+1 assembly threshold — and demand a reported,
 // seed-replayable violation. (t+1 mute replicas are NOT enough: threshold

@@ -66,7 +66,7 @@ TEST(Simulator, EventCapThrows) {
   sim.set_event_cap(10);
   std::function<void()> loop = [&] { sim.schedule(0.1, loop); };
   sim.schedule(0, loop);
-  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_THROW(sim.run(), EventCapExceeded);
 }
 
 TEST(Network, DeliversAfterLatency) {
