@@ -1,6 +1,6 @@
 // Durable zone store microbenchmarks (BENCH_store.json).
 //
-// Three questions the durability design doc needs numbers for:
+// Questions the durability and edge design docs need numbers for:
 //   1. WAL append throughput — records/s through append() with group-commit
 //      fsyncs every `batch` records (batch=1 is the worst case: one fsync
 //      per committed update; batch=32 approximates a PR-6 update batch).
@@ -17,14 +17,18 @@
 //      1M RRsets (NXT and SIG RRsets counted), alternating adds and deletes.
 //      A stub signer stands in for the threshold protocol: this path never
 //      verifies, so the numbers are the zone bookkeeping alone.
+//   5. Edge refresh scaling — per-IXFR cost of bringing an edge's verified
+//      copy up to date after a one-name update, on really signed zones of
+//      10k / 100k / 1M RRsets: apply under a capture + verify_zone_changes,
+//      against copying the zone, applying and running a full verify_zone.
 //
 //   bench_store [--dir DIR] [--records N] [--quick] [--json FILE]
 //               [--threads N] [--max-parse-us N]
 //
 // --dir points at the filesystem under test (default: a fresh /tmp dir —
 // NOTE: tmpfs fsyncs are free; point at a real disk for honest numbers).
-// --quick caps the cold-restart and update sweeps at 100k RRsets for CI
-// smoke runs.
+// --quick caps the cold-restart, update and edge-refresh sweeps at 100k
+// RRsets for CI smoke runs.
 // --threads forwards to Zone::from_wire (0 = hardware concurrency).
 // --max-parse-us N exits nonzero if the 100k-RRset row's v2 zone parse
 // exceeds N microseconds — the CI perf-smoke regression gate.
@@ -40,7 +44,9 @@
 
 #include "bench_common.hpp"
 #include "crypto/rsa.hpp"
+#include "dns/dnssec.hpp"
 #include "dns/server.hpp"
+#include "dns/xfr.hpp"
 #include "dns/zone.hpp"
 #include "store/durable.hpp"
 #include "util/fileio.hpp"
@@ -246,13 +252,14 @@ sdns::dns::Message host_update(const Name& origin, const Name& host, bool add) {
   return m;
 }
 
-/// A signed zone of about `rrsets` RRsets (per host: an A record, its NXT
-/// and their SIGs), then `updates` alternating updates: add an A record at
-/// a new name beside a random host, then delete it again.
-UpdateRow bench_update_path(std::size_t rrsets, std::size_t updates) {
-  const Name origin = Name::parse("bench.example.");
+const Name kBenchOrigin = Name::parse("bench.example.");
+
+/// A zone of about `rrsets` RRsets once signed (per host: an A record, its
+/// NXT and their SIGs), signed under `pub` by `sign`.
+sdns::dns::Zone host_zone(std::size_t rrsets, const sdns::crypto::RsaPublicKey& pub,
+                          const sdns::dns::SignFn& sign) {
   sdns::dns::Zone zone = sdns::dns::Zone::from_text(
-      origin,
+      kBenchOrigin,
       "@ 3600 IN SOA ns1.bench.example. op.bench.example. 1 7200 3600 1209600 "
       "3600\n@ 3600 IN NS ns1.bench.example.\n");
   const std::size_t hosts = rrsets / 3;
@@ -266,12 +273,21 @@ UpdateRow bench_update_path(std::size_t rrsets, std::size_t updates) {
                 static_cast<std::uint8_t>(a >> 8), static_cast<std::uint8_t>(a)};
     zone.add_record(rr);
   }
+  sdns::dns::sign_zone(zone, pub, 1, 0x7fffffff, sign);
+  return zone;
+}
+
+/// A signed zone of about `rrsets` RRsets, then `updates` alternating
+/// updates: add an A record at a new name beside a random host, then delete
+/// it again.
+UpdateRow bench_update_path(std::size_t rrsets, std::size_t updates) {
+  const Name& origin = kBenchOrigin;
+  const std::size_t hosts = rrsets / 3;
   sdns::util::Rng rng(16);
   const auto key = sdns::crypto::rsa_generate(rng, 512);
   const Bytes stub(64, 0xA5);
   const auto sign = [&](BytesView) { return stub; };
-  sdns::dns::sign_zone(zone, key.pub, 1, 0x7fffffff, sign);
-  sdns::dns::AuthoritativeServer server(std::move(zone));
+  sdns::dns::AuthoritativeServer server(host_zone(rrsets, key.pub, sign));
 
   UpdateRow row;
   row.rrsets = server.zone().rrset_count();
@@ -296,6 +312,82 @@ UpdateRow bench_update_path(std::size_t rrsets, std::size_t updates) {
   }
   row.us = LatencySummary::of(us);
   for (const double v : us) row.max_us = std::max(row.max_us, v);
+  return row;
+}
+
+struct EdgeRefreshRow {
+  std::size_t rrsets = 0;
+  std::size_t refreshes = 0;       ///< one-name IXFRs timed on the after path
+  std::size_t full_refreshes = 0;  ///< then more, timed on the before path
+  double sign_s = 0;  ///< one-time cost of signing the zone for real
+  LatencySummary before_us;  ///< copy + apply + full verify_zone
+  LatencySummary after_us;   ///< apply under a capture + verify_zone_changes
+};
+
+/// An edge refresh: a primary commits a one-name update (really signed, as
+/// the edge checks every SIG), and the edge brings its copy up to date from
+/// the IXFR. Before: copy the zone, apply, verify the whole candidate (what
+/// the edge did until it kept one zone). After: apply under a capture and
+/// verify only what the diff touched. `refreshes` diffs take the after path,
+/// then `full_refreshes` more take the before path.
+EdgeRefreshRow bench_edge_refresh(std::size_t rrsets, std::size_t refreshes,
+                                  std::size_t full_refreshes) {
+  sdns::util::Rng rng(20);
+  const auto key = sdns::crypto::rsa_generate(rng, 512);
+  const auto sign = [&](BytesView d) { return sdns::crypto::rsa_sign_sha1(key, d); };
+  EdgeRefreshRow row;
+  row.refreshes = refreshes;
+  row.full_refreshes = full_refreshes;
+  double t0 = now_s();
+  sdns::dns::Zone edge = host_zone(rrsets, key.pub, sign);
+  row.sign_s = now_s() - t0;
+  row.rrsets = edge.rrset_count();
+  sdns::dns::AuthoritativeServer primary(edge);
+
+  // Each call commits the next update on the primary and returns the IXFR
+  // that brings the edge from its serial to the primary's.
+  const std::size_t hosts = rrsets / 3;
+  std::size_t commits = 0;
+  Name host;
+  const auto next_ixfr = [&] {
+    const bool add = commits++ % 2 == 0;
+    if (add) {
+      host = Name::parse("h" + std::to_string(rng.below(hosts)) + "u.bench.example.");
+    }
+    const sdns::dns::UpdateResult res =
+        primary.apply_update(host_update(kBenchOrigin, host, add), 1000);
+    for (const auto& task : res.sig_tasks) primary.install_signature(task, sign(task.data));
+    primary.finalize_journal();
+    return primary.answer_query(sdns::dns::make_ixfr_query(0, kBenchOrigin, *edge.soa()));
+  };
+  const auto applied = [](sdns::dns::Zone& zone, const sdns::dns::Message& ixfr) {
+    return sdns::dns::apply_xfr_response(zone, ixfr) == sdns::dns::XfrOutcome::kAppliedIxfr;
+  };
+
+  std::vector<double> before, after;
+  for (std::size_t i = 0; i < refreshes; ++i) {
+    const sdns::dns::Message ixfr = next_ixfr();
+    t0 = now_s();
+    edge.begin_capture();
+    const bool ok = applied(edge, ixfr) &&
+                    sdns::dns::verify_zone_changes(edge, *edge.end_capture(), key.pub).ok;
+    after.push_back((now_s() - t0) * 1e6);
+    if (!ok) std::abort();
+  }
+  // Timed apart from the after path: freeing each candidate leaves the
+  // allocator work (consolidating a zone's worth of small chunks) that the
+  // next allocation pays, which belongs to the before path alone.
+  for (std::size_t i = 0; i < full_refreshes; ++i) {
+    const sdns::dns::Message ixfr = next_ixfr();
+    t0 = now_s();
+    sdns::dns::Zone candidate = edge;
+    const bool ok = applied(candidate, ixfr) && sdns::dns::verify_zone(candidate, key.pub).ok;
+    before.push_back((now_s() - t0) * 1e6);
+    if (!ok) std::abort();
+    edge = std::move(candidate);
+  }
+  row.before_us = LatencySummary::of(before);
+  row.after_us = LatencySummary::of(after);
   return row;
 }
 
@@ -414,6 +506,30 @@ int main(int argc, char** argv) {
                   "\"p99\": %.1f, \"mean\": %.1f, \"max\": %.1f}}",
                   first ? "" : ",\n", row.rrsets, row.updates, row.sigs_per_add,
                   row.sigs_per_del, row.us.p50, row.us.p99, row.us.mean, row.max_us);
+    json << buf;
+    first = false;
+  }
+  json << "\n  ],\n  \"edge_refresh\": [\n";
+
+  // Signing is the setup cost here (a real RSA signature per RRset), so 1M
+  // RRsets runs only in the full sweep.
+  std::vector<std::size_t> edge_sweep = {10000, 100000, 1000000};
+  if (quick) edge_sweep.pop_back();
+  first = true;
+  for (const std::size_t rrsets : edge_sweep) {
+    const EdgeRefreshRow row = bench_edge_refresh(rrsets, 40, rrsets >= 1000000 ? 3 : 9);
+    std::printf(
+        "edge refresh %8zu rrsets  signed in %.1f s  before (copy+apply+verify_zone) "
+        "p50 %.0f us  after (apply+verify_zone_changes) p50/p99 %.1f/%.1f us\n",
+        row.rrsets, row.sign_s, row.before_us.p50, row.after_us.p50, row.after_us.p99);
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "%s    {\"rrsets\": %zu, \"sign_s\": %.1f, \"refreshes\": %zu, "
+                  "\"before_runs\": %zu, \"before_us\": {\"p50\": %.0f, \"mean\": %.0f}, "
+                  "\"after_us\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f}}",
+                  first ? "" : ",\n", row.rrsets, row.sign_s, row.refreshes,
+                  row.full_refreshes, row.before_us.p50, row.before_us.mean,
+                  row.after_us.p50, row.after_us.p99, row.after_us.mean);
     json << buf;
     first = false;
   }

@@ -1,6 +1,7 @@
 #include "dns/dnssec.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace sdns::dns {
 
@@ -138,53 +139,84 @@ std::size_t sign_zone(Zone& zone, const crypto::RsaPublicKey& pub, std::uint32_t
 
 namespace {
 
-/// Whole-zone verification under the apex KEY, which must equal `trusted`
-/// when one is given.
-ZoneVerifyResult verify(const Zone& zone, const crypto::RsaPublicKey* trusted) {
-  ZoneVerifyResult result;
+/// The apex KEY's public key, which must equal `trusted` when one is given;
+/// nullopt (with `result.first_error` set) otherwise.
+std::optional<crypto::RsaPublicKey> apex_key(const Zone& zone,
+                                             const crypto::RsaPublicKey* trusted,
+                                             ZoneVerifyResult& result) {
   const RRset* key_rrset = zone.find(zone.origin(), RRType::kKEY);
   if (!key_rrset || key_rrset->rdatas.empty()) {
     result.first_error = "zone has no apex KEY record";
-    return result;
+    return std::nullopt;
   }
   crypto::RsaPublicKey pub;
   try {
     pub = zone_key_from_record(KeyRdata::decode(key_rrset->rdatas.front()));
   } catch (const util::ParseError& e) {
     result.first_error = std::string("bad KEY record: ") + e.what();
-    return result;
+    return std::nullopt;
   }
   if (trusted && !(pub == *trusted)) {
     result.first_error = "apex KEY is not the trusted zone key";
-    return result;
+    return std::nullopt;
   }
+  return pub;
+}
+
+/// `rrset` (never a SIG) must carry a SIG at its owner that verifies under
+/// `pub`.
+bool check_sig(const Zone& zone, const RRset& rrset, const crypto::RsaPublicKey& pub,
+               ZoneVerifyResult& result) {
+  if (const RRset* sigs = zone.find(rrset.name, RRType::kSIG)) {
+    for (const auto& rd : sigs->rdatas) {
+      try {
+        const SigRdata sig = SigRdata::decode(rd);
+        if (sig.type_covered == rrset.type && verify_rrset_sig(rrset, sig, pub)) {
+          ++result.verified;
+          return true;
+        }
+      } catch (const util::ParseError&) {
+      }
+    }
+  }
+  result.first_error =
+      "no verifying SIG for " + rrset.name.to_string() + " " + to_string(rrset.type);
+  return false;
+}
+
+/// `owner` must hold exactly one NXT, and it must name `next`.
+bool check_nxt(const Zone& zone, const Name& owner, const Name& next,
+               ZoneVerifyResult& result) {
+  const RRset* nxt = zone.find(owner, RRType::kNXT);
+  if (!nxt || nxt->rdatas.size() != 1) {
+    result.first_error = "missing NXT at " + owner.to_string();
+    return false;
+  }
+  NxtRdata rd;
+  try {
+    rd = NxtRdata::decode(nxt->rdatas.front());
+  } catch (const util::ParseError&) {
+    result.first_error = "bad NXT record at " + owner.to_string();
+    return false;
+  }
+  if (!(rd.next == next)) {
+    result.first_error = "NXT chain broken at " + owner.to_string();
+    return false;
+  }
+  return true;
+}
+
+/// Whole-zone verification under the apex KEY, which must equal `trusted`
+/// when one is given.
+ZoneVerifyResult verify(const Zone& zone, const crypto::RsaPublicKey* trusted) {
+  ZoneVerifyResult result;
+  const auto pub = apex_key(zone, trusted, result);
+  if (!pub) return result;
 
   // Every non-SIG RRset must have a verifying SIG at its owner.
   bool ok = true;
   zone.for_each_rrset([&](const RRset& rrset) {
-    if (!ok || rrset.type == RRType::kSIG) return;
-    const RRset* sigs = zone.find(rrset.name, RRType::kSIG);
-    bool verified = false;
-    if (sigs) {
-      for (const auto& rd : sigs->rdatas) {
-        try {
-          const SigRdata sig = SigRdata::decode(rd);
-          if (sig.type_covered != rrset.type) continue;
-          if (verify_rrset_sig(rrset, sig, pub)) {
-            verified = true;
-            break;
-          }
-        } catch (const util::ParseError&) {
-        }
-      }
-    }
-    if (!verified) {
-      ok = false;
-      result.first_error = "no verifying SIG for " + rrset.name.to_string() + " " +
-                           to_string(rrset.type);
-      return;
-    }
-    ++result.verified;
+    if (ok && rrset.type != RRType::kSIG) ok = check_sig(zone, rrset, *pub, result);
   });
   if (!ok) return result;
 
@@ -192,23 +224,7 @@ ZoneVerifyResult verify(const Zone& zone, const crypto::RsaPublicKey* trusted) {
   // single cycle through all names in canonical order.
   const auto names = zone.names();
   for (std::size_t i = 0; i < names.size(); ++i) {
-    const RRset* nxt = zone.find(names[i], RRType::kNXT);
-    if (!nxt || nxt->rdatas.size() != 1) {
-      result.first_error = "missing NXT at " + names[i].to_string();
-      return result;
-    }
-    NxtRdata rd;
-    try {
-      rd = NxtRdata::decode(nxt->rdatas.front());
-    } catch (const util::ParseError&) {
-      result.first_error = "bad NXT record at " + names[i].to_string();
-      return result;
-    }
-    const Name& expected_next = names[(i + 1) % names.size()];
-    if (!(rd.next == expected_next)) {
-      result.first_error = "NXT chain broken at " + names[i].to_string();
-      return result;
-    }
+    if (!check_nxt(zone, names[i], names[(i + 1) % names.size()], result)) return result;
   }
   result.ok = true;
   return result;
@@ -220,6 +236,31 @@ ZoneVerifyResult verify_zone(const Zone& zone) { return verify(zone, nullptr); }
 
 ZoneVerifyResult verify_zone(const Zone& zone, const crypto::RsaPublicKey& trusted) {
   return verify(zone, &trusted);
+}
+
+ZoneVerifyResult verify_zone_changes(const Zone& zone, const Zone::PreImages& touched,
+                                     const crypto::RsaPublicKey& trusted) {
+  ZoneVerifyResult result;
+  const auto pub = apex_key(zone, &trusted, result);
+  if (!pub) return result;
+  const auto chain_ok_at = [&](const Name& owner) {
+    return check_nxt(zone, owner, *zone.cyclic_successor(owner), result);
+  };
+  for (const auto& [owner, before] : touched) {
+    // An untouched owner kept its records and SIGs, so only its NXT can have
+    // gone stale, and only when a name just after it came or went: it is
+    // then the cyclic predecessor of a touched owner.
+    if (const Name* pred = zone.cyclic_predecessor(owner); pred && !chain_ok_at(*pred)) {
+      return result;
+    }
+    if (!zone.name_exists(owner)) continue;
+    for (const auto& rrset : zone.rrsets_at(owner)) {
+      if (rrset.type != RRType::kSIG && !check_sig(zone, rrset, *pub, result)) return result;
+    }
+    if (!chain_ok_at(owner)) return result;
+  }
+  result.ok = true;
+  return result;
 }
 
 }  // namespace sdns::dns

@@ -84,5 +84,14 @@ ZoneVerifyResult verify_zone(const Zone& zone);
 /// `trusted` (the dealt zone key), and the zone must verify under it. The
 /// one-argument form alone accepts a zone self-signed under any key.
 ZoneVerifyResult verify_zone(const Zone& zone, const crypto::RsaPublicKey& trusted);
+/// The trust gate for a diff applied under a capture, in O(change): the apex
+/// KEY must still be `trusted`; every non-SIG RRset at a `touched` owner must
+/// carry a SIG verifying under it; and each touched owner that exists, plus
+/// the cyclic canonical predecessor of every touched owner, must hold exactly
+/// one NXT naming its cyclic successor. Owners outside `touched` kept their
+/// records, so when the zone verified in full before the diff, this verdict
+/// equals a full verify_zone(zone, trusted) after it.
+ZoneVerifyResult verify_zone_changes(const Zone& zone, const Zone::PreImages& touched,
+                                     const crypto::RsaPublicKey& trusted);
 
 }  // namespace sdns::dns

@@ -124,9 +124,12 @@ void AuthoritativeServer::finalize_journal() {
   while (journal_.size() > journal_limit_) journal_.pop_front();
 }
 
+// Transfers read the committed zone: while an update's SIGs are still being
+// made, the SOA, the records and the journal all stop at the last commit, so
+// a transfer never carries an update that fails verification.
 void AuthoritativeServer::answer_ixfr(Message& response, const Message& query,
                                       bool* used_axfr) const {
-  const RRset* soa_set = zone_.find(zone_.origin(), RRType::kSOA);
+  const RRset* soa_set = zone_.find_committed(zone_.origin(), RRType::kSOA);
   if (!soa_set || soa_set->rdatas.empty()) {
     response.rcode = Rcode::kServFail;
     return;
@@ -176,17 +179,17 @@ void AuthoritativeServer::answer_ixfr(Message& response, const Message& query,
 
 void AuthoritativeServer::answer_axfr(Message& response) const {
   // AXFR framing: the SOA leads and trails the record stream (RFC 5936).
-  const RRset* soa = zone_.find(zone_.origin(), RRType::kSOA);
+  const RRset* soa = zone_.find_committed(zone_.origin(), RRType::kSOA);
   if (!soa || soa->rdatas.empty()) {
     response.rcode = Rcode::kServFail;
     return;
   }
   const ResourceRecord soa_rr = soa->to_records().front();
   response.answers.push_back(soa_rr);
-  for (auto& rr : zone_.all_records()) {
-    if (rr.type == RRType::kSOA) continue;
-    response.answers.push_back(std::move(rr));
-  }
+  zone_.for_each_committed_rrset([&](const RRset& rrset) {
+    if (rrset.type == RRType::kSOA) return;
+    for (auto& rr : rrset.to_records()) response.answers.push_back(std::move(rr));
+  });
   response.answers.push_back(soa_rr);
 }
 

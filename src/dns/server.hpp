@@ -73,7 +73,10 @@ class AuthoritativeServer {
   /// IXFR serves journal diffs when the client's serial is still covered,
   /// otherwise falls back to an AXFR-format response (`used_axfr` reports
   /// which format went out). Validation failures (wrong opcode, non-apex
-  /// qname, non-XFR qtype) come back as a single error-rcode message.
+  /// qname, non-XFR qtype) come back as a single error-rcode message. Both
+  /// formats serve the committed zone: between apply_update and
+  /// finalize_journal they carry the zone and serial as they were before the
+  /// update (Zone::find_committed), so no client receives half-signed data.
   std::vector<Message> answer_xfr(const Message& query, std::size_t max_wire,
                                   bool* used_axfr = nullptr) const;
 

@@ -57,17 +57,24 @@ XfrOutcome apply_axfr(Zone& zone, const Message& response) {
 
 }  // namespace
 
-XfrOutcome apply_xfr_response(Zone& zone, const Message& response) {
+XfrOutcome xfr_format(const Message& response) {
   const auto& rrs = response.answers;
   if (rrs.empty() || !is_soa(rrs.front())) return XfrOutcome::kMalformed;
   if (rrs.size() == 1) return XfrOutcome::kUpToDate;
   if (!is_soa(rrs.back())) return XfrOutcome::kMalformed;
   // IXFR responses have a SOA as the *second* record (the first diff's
   // old-serial marker); AXFR responses have zone data there.
-  if (!is_soa(rrs[1])) return apply_axfr(zone, response);
+  return is_soa(rrs[1]) ? XfrOutcome::kAppliedIxfr : XfrOutcome::kReplacedAxfr;
+}
+
+XfrOutcome apply_xfr_response(Zone& zone, const Message& response) {
+  const XfrOutcome format = xfr_format(response);
+  if (format == XfrOutcome::kReplacedAxfr) return apply_axfr(zone, response);
+  if (format != XfrOutcome::kAppliedIxfr) return format;
 
   // IXFR: new-SOA, then (old-SOA, deletions..., new-SOA, additions...)*,
   // terminated by the new SOA.
+  const auto& rrs = response.answers;
   const SoaRdata target = SoaRdata::decode(rrs.front().rdata);
   std::size_t i = 1;
   while (i < rrs.size() - 1 || (i == rrs.size() - 1 && !is_soa(rrs[i]))) {

@@ -33,7 +33,15 @@ enum class XfrOutcome {
   kMalformed,   ///< response did not follow the transfer format
 };
 
+/// What a transfer response carries, read from its SOA framing alone:
+/// kUpToDate (a lone SOA), kAppliedIxfr (diffs: a SOA second), kReplacedAxfr
+/// (a whole zone), or kMalformed. apply_xfr_response takes the same branch.
+XfrOutcome xfr_format(const Message& response);
+
 /// Apply a transfer response (from answer_query on AXFR/IXFR) to `zone`.
+/// An IXFR edits `zone` in place through its mutators, so under an open
+/// capture a rejected or malformed diff can be rolled back; an AXFR
+/// replaces `zone` whole.
 XfrOutcome apply_xfr_response(Zone& zone, const Message& response);
 
 /// Reassembles an RFC 5936 / RFC 1995 multi-message transfer stream (what

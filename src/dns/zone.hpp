@@ -95,6 +95,25 @@ class Zone {
   void begin_capture() { capture_.emplace(); }
   /// Close the capture and return it (nullopt if none was open).
   std::optional<PreImages> end_capture() { return std::exchange(capture_, std::nullopt); }
+  /// Put every owner in `pre` (a closed capture) back as it was when that
+  /// capture began: owners that did not exist are erased, the rest get their
+  /// types back. With the capture's mutations the only ones since, the zone
+  /// ends as it was, to_wire() byte for byte.
+  void rollback(PreImages pre);
+
+  /// Reads of the zone as the open capture found it: the pre-image at every
+  /// owner the capture touched, the live data elsewhere. Without an open
+  /// capture they read the zone itself. Transfers serve these, so a client
+  /// never receives an update whose signatures are still being made.
+  const RRset* find_committed(const Name& name, RRType type) const;
+  void for_each_committed_rrset(const std::function<void(const RRset&)>& fn) const;
+
+  /// The existing owner canonically just before / just after `name`,
+  /// wrapping around the end of the zone the way the NXT chain does (so the
+  /// apex follows the last name). `name` itself need not exist; a lone owner
+  /// is its own neighbour. nullptr in an empty zone.
+  const Name* cyclic_predecessor(const Name& name) const;
+  const Name* cyclic_successor(const Name& name) const;
 
   /// rebuild_nxt_chain restricted to what the open capture recorded: drops
   /// touched owners left holding only NXT/SIG, then recomputes the NXT at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 
 #include "dns/dnssec.hpp"
 #include "dns/xfr.hpp"
@@ -117,8 +118,8 @@ void EdgeRuntime::handle_request(ClientId client, BytesView wire) {
   }
   if (q.type == dns::RRType::kAXFR || q.type == dns::RRType::kIXFR) {
     // An edge can feed other edges (its copy is verified, and the threshold
-    // signatures travel with it). Its journal is empty — the swap-in model
-    // has no per-update diffs — so IXFR degrades to AXFR format.
+    // signatures travel with it). It keeps no journal, so IXFR degrades to
+    // AXFR format.
     frontends_->answer_xfr(client, request, server_.get());
     return;
   }
@@ -165,7 +166,7 @@ void EdgeRuntime::transfer_worker() {
     // Failed or pending bootstrap retries fast; a healthy edge falls back to
     // the SOA-refresh poll. A NOTIFY cuts either wait short.
     const double wait =
-        shadow_.has_value() ? cfg_.refresh_interval : cfg_.retry_interval;
+        serving_soa_.has_value() ? cfg_.refresh_interval : cfg_.retry_interval;
     cv_.wait_for(lk, std::chrono::duration<double>(wait),
                  [this] { return stop_ || refresh_wanted_; });
     if (stop_) break;
@@ -184,18 +185,11 @@ void EdgeRuntime::transfer_worker() {
 void EdgeRuntime::refresh_once(StubResolver& resolver) {
   c_refreshes_->inc();
   const dns::Name origin = dns::Name::parse(cfg_.origin);
-  const bool bootstrap = !shadow_.has_value();
   dns::Message req;
-  if (bootstrap) {
-    req.questions.push_back({origin, dns::RRType::kAXFR, dns::RRClass::kIN});
+  if (serving_soa_) {
+    req = dns::make_ixfr_query(0, origin, *serving_soa_);
   } else {
-    const auto soa = shadow_->soa();
-    if (!soa) {  // unreachable once verified zones are the only installs
-      shadow_.reset();
-      c_transfer_failures_->inc();
-      return;
-    }
-    req = dns::make_ixfr_query(0, origin, *soa);
+    req.questions.push_back({origin, dns::RRType::kAXFR, dns::RRClass::kIN});
   }
   StubResolver::Result res = resolver.xfr(std::move(req));
   if (!res.ok || res.response.rcode != dns::Rcode::kNoError) {
@@ -204,35 +198,79 @@ void EdgeRuntime::refresh_once(StubResolver& resolver) {
                   res.ok ? dns::to_string(res.response.rcode) : res.error);
     return;
   }
-  dns::Zone candidate = bootstrap ? dns::Zone(origin) : *shadow_;
-  const dns::XfrOutcome outcome = dns::apply_xfr_response(candidate, res.response);
-  if (outcome == dns::XfrOutcome::kUpToDate) {
+  const dns::XfrOutcome format = dns::xfr_format(res.response);
+  if (format == dns::XfrOutcome::kUpToDate) {
     c_up_to_date_->inc();
     return;
   }
-  if (outcome == dns::XfrOutcome::kMalformed) {
+  if (format == dns::XfrOutcome::kAppliedIxfr && serving_soa_) {
+    serving_soa_ = apply_ixfr_on_loop(std::move(res.response));
+    return;
+  }
+  dns::Zone zone(origin);
+  if (format != dns::XfrOutcome::kReplacedAxfr ||
+      dns::apply_xfr_response(zone, res.response) != dns::XfrOutcome::kReplacedAxfr) {
     c_transfer_failures_->inc();
     return;
   }
   // The trust gate: nothing unverified ever reaches the serving path. The
   // transfer channel is plain TCP to a possibly-Byzantine replica; the
-  // threshold signatures inside the zone are what we actually believe.
-  if (!dns::verify_zone(candidate, dealt_).ok) {
+  // threshold signatures inside the zone are what we actually believe. A
+  // whole zone is verified in full, here, off the loop.
+  if (!dns::verify_zone(zone, dealt_).ok) {
     c_verify_failures_->inc();
     SDNS_LOG_WARN("sdns_edge: transfer rejected: zone failed verification",
                   " against the dealt zone key");
     return;
   }
-  if (outcome == dns::XfrOutcome::kReplacedAxfr) {
-    c_axfr_bootstraps_->inc();
-  } else {
-    c_ixfr_applied_->inc();
-  }
-  shadow_ = candidate;
-  loop_.post([this, z = std::move(candidate)]() mutable {
+  c_axfr_bootstraps_->inc();
+  serving_soa_ = zone.soa();
+  loop_.post([this, z = std::move(zone)]() mutable {
     server_ = std::make_unique<dns::AuthoritativeServer>(std::move(z));
     generation_.fetch_add(1, std::memory_order_release);
   });
+}
+
+std::optional<dns::SoaRdata> EdgeRuntime::apply_ixfr_on_loop(dns::Message response) {
+  auto verdict = std::make_shared<std::promise<std::optional<dns::SoaRdata>>>();
+  std::future<std::optional<dns::SoaRdata>> done = verdict->get_future();
+  loop_.post([this, verdict, r = std::move(response)] { verdict->set_value(apply_ixfr(r)); });
+  while (done.wait_for(std::chrono::milliseconds(50)) != std::future_status::ready) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (stop_) return std::nullopt;
+  }
+  return done.get();
+}
+
+std::optional<dns::SoaRdata> EdgeRuntime::apply_ixfr(const dns::Message& response) {
+  // The worker's bootstrap install is posted ahead of any IXFR, so a zone is
+  // serving; the format check keeps apply_xfr_response on its in-place path.
+  if (!server_ || dns::xfr_format(response) != dns::XfrOutcome::kAppliedIxfr) {
+    return std::nullopt;
+  }
+  dns::Zone& zone = server_->zone();
+  zone.begin_capture();
+  dns::XfrOutcome outcome = dns::XfrOutcome::kMalformed;
+  try {
+    outcome = dns::apply_xfr_response(zone, response);
+  } catch (const util::ParseError&) {
+  }
+  dns::Zone::PreImages touched = *zone.end_capture();
+  // Nothing was answered from the zone since the capture opened, so a
+  // rollback leaves no trace: same bytes, same generation, same cache.
+  if (outcome != dns::XfrOutcome::kAppliedIxfr) {
+    zone.rollback(std::move(touched));
+    c_transfer_failures_->inc();
+  } else if (const auto verdict = dns::verify_zone_changes(zone, touched, dealt_);
+             !verdict.ok) {
+    zone.rollback(std::move(touched));
+    c_verify_failures_->inc();
+    SDNS_LOG_WARN("sdns_edge: IXFR rejected: ", verdict.first_error);
+  } else {
+    c_ixfr_applied_->inc();
+    generation_.fetch_add(1, std::memory_order_release);
+  }
+  return zone.soa();
 }
 
 }  // namespace sdns::net

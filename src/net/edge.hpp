@@ -5,18 +5,26 @@
 // group and packet cache as a replica but holds NO key share and NO replica:
 // it bootstraps its zone copy with AXFR from any core replica, refreshes it
 // with IXFR when a core replica NOTIFYs (RFC 1996), and polls the SOA on a
-// refresh interval as the lost-NOTIFY backstop. Every received zone —
-// bootstrap or incremental — is verified against the dealt threshold zone
-// key (apex KEY must carry the dealt modulus, and every RRset's SIG must
-// check out) before it is swapped in, so a compromised or spoofed core
-// replica cannot feed an edge a forged zone: the edge trusts the threshold
-// signature, not the transfer channel. That is what makes edges safe to
-// multiply — they add serving capacity without adding signing parties.
+// refresh interval as the lost-NOTIFY backstop. Every received zone is
+// checked against the dealt threshold zone key before it serves, so a
+// compromised or spoofed core replica cannot feed an edge a forged zone: the
+// edge trusts the threshold signature, not the transfer channel. That is
+// what makes edges safe to multiply — they add serving capacity without
+// adding signing parties.
 //
-// Threading: the frontends and zone swap run on the owning loop (plus shard
-// threads — the same net::FrontendGroup a ReplicaRuntime runs); one
-// transfer worker thread does the blocking AXFR/IXFR + verification and
-// posts verified zones to the loop.
+// The check costs what changed. An AXFR (bootstrap, or a journal gap) is
+// verified in full: apex KEY == the dealt key, every RRset's SIG, the whole
+// NXT chain. An IXFR is applied in place to the one serving zone under a
+// capture and verified over the owners it touched plus their NXT
+// neighbours (dns::verify_zone_changes); a diff that fails is rolled back.
+// Since the base verified in full, base + checked diff is a zone that
+// verifies in full.
+//
+// Threading: the frontends, the serving zone, and every IXFR apply, verify
+// and rollback run on the owning loop (plus shard threads — the same
+// net::FrontendGroup a ReplicaRuntime runs). One transfer worker thread does
+// the blocking AXFR/IXFR fetches and the full verify of an AXFR, and waits
+// for the loop's verdict on each IXFR before asking for the next.
 #pragma once
 
 #include <atomic>
@@ -89,6 +97,13 @@ class EdgeRuntime {
   // ---- transfer worker ----
   void transfer_worker();
   void refresh_once(StubResolver& resolver);
+  /// Hands an IXFR response to the loop and waits for apply_ixfr's result
+  /// (nullopt if the edge stops first).
+  std::optional<dns::SoaRdata> apply_ixfr_on_loop(dns::Message response);
+
+  /// Loop thread: apply an IXFR to the serving zone under a capture and keep
+  /// it only if verify_zone_changes accepts it. Returns the SOA now served.
+  std::optional<dns::SoaRdata> apply_ixfr(const dns::Message& response);
 
   EventLoop& loop_;
   EdgeConfig cfg_;
@@ -101,15 +116,14 @@ class EdgeRuntime {
   /// Destroyed before registry_ and generation_, which its frontends use.
   std::unique_ptr<FrontendGroup> frontends_;
 
-  // Worker state. `shadow_` is the worker's own zone copy — transfers apply
-  // and verify against it off-loop, and only verified copies cross to the
-  // main loop.
+  // Worker state. `serving_soa_` is the SOA the loop serves, as the last
+  // install or IXFR verdict reported it (nullopt: bootstrap next).
   std::thread worker_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
   bool refresh_wanted_ = false;
-  std::optional<dns::Zone> shadow_;
+  std::optional<dns::SoaRdata> serving_soa_;
 
   obs::Counter* c_notifies_;
   obs::Counter* c_axfr_bootstraps_;

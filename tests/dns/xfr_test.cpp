@@ -363,6 +363,65 @@ TEST(XfrStream, AssemblerRejectsMalformedStreams) {
   EXPECT_EQ(empty_mid.feed(hollow), XfrAssembler::State::kMalformed);
 }
 
+TEST(Ixfr, TransfersDuringSigningServeTheCommittedZone) {
+  // Between apply_update and finalize_journal the zone holds an update whose
+  // SIGs are still being made. AXFR and IXFR must serve the zone as the last
+  // commit left it, or a stale or bootstrapping secondary would receive a
+  // zone that fails verification.
+  Rng rng(1401);
+  const auto key = crypto::rsa_generate(rng, 512);
+  const auto sign = [&](util::BytesView d) { return crypto::rsa_sign_sha1(key, d); };
+  Zone z = Zone::from_text(kOrigin, R"(
+@    IN SOA ns.xfr.example. admin.xfr.example. 10 7200 1200 604800 600
+@    IN NS  ns.xfr.example.
+ns   IN A   192.0.2.53
+www  IN A   192.0.2.80
+)");
+  sign_zone(z, key.pub, 1000, 100000, sign);
+  AuthoritativeServer server(std::move(z));
+  const util::Bytes committed = server.zone().to_wire();
+  const SoaRdata old_soa = *server.zone().soa();
+
+  // 1. One update adds an owner and erases another; its SIGs stay pending.
+  Message update = add_update("new", "10.0.0.9");
+  update.updates().push_back(delete_update("www").updates().front());
+  const UpdateResult result = server.apply_update(update, 2000);
+  ASSERT_EQ(result.rcode, Rcode::kNoError);
+  ASSERT_FALSE(result.sig_tasks.empty());
+  ASSERT_NE(server.zone().to_wire(), committed);
+
+  // 2. AXFR, whole and chunked, is the zone as it was before the update.
+  Message axfr_q = Message::make_query(8, kOrigin, RRType::kAXFR);
+  for (const std::size_t max_wire : {std::size_t{0}, std::size_t{600}}) {
+    XfrAssembler assembler;
+    const Message axfr = feed_all(assembler, server.answer_xfr(axfr_q, max_wire));
+    Zone fresh(kOrigin);
+    ASSERT_EQ(apply_xfr_response(fresh, axfr), XfrOutcome::kReplacedAxfr);
+    EXPECT_EQ(fresh.to_wire(), committed) << "max_wire " << max_wire;
+    EXPECT_TRUE(verify_zone(fresh, key.pub).ok);
+  }
+
+  // 3. A client at the committed serial is up to date: one SOA, the old one.
+  const Message up_to_date = server.answer_query(make_ixfr_query(9, kOrigin, old_soa));
+  ASSERT_EQ(up_to_date.answers.size(), 1u);
+  EXPECT_EQ(SoaRdata::decode(up_to_date.answers[0].rdata).serial, old_soa.serial);
+
+  // 4. Once the SIGs are in and the journal closes, the same IXFR gets the
+  //    diff, and the secondary it brings up to date verifies.
+  for (const auto& task : result.sig_tasks) {
+    server.install_signature(task, sign(task.data));
+  }
+  server.finalize_journal();
+  Zone secondary = Zone::from_wire(committed);
+  const Message diff = server.answer_query(make_ixfr_query(10, kOrigin, old_soa));
+  EXPECT_EQ(apply_xfr_response(secondary, diff), XfrOutcome::kAppliedIxfr);
+  EXPECT_EQ(secondary.soa()->serial, old_soa.serial + 1);
+  EXPECT_EQ(secondary.find(kOrigin.child("www"), RRType::kA), nullptr);
+  EXPECT_NE(secondary.find(kOrigin.child("new"), RRType::kA), nullptr);
+  const auto verify = verify_zone(secondary, key.pub);
+  EXPECT_TRUE(verify.ok) << verify.first_error;
+}
+
 TEST(Notify, MessageShapeFollowsRfc1996) {
   auto server = make_server();
   ResourceRecord soa;

@@ -8,7 +8,8 @@
 //   - bootstrap via AXFR, verify against the dealt zone key, and serve,
 //   - fail closed (ServFail, no install) while unbootstrapped,
 //   - ack a NOTIFY and pull the new serial via a genuine IXFR diff,
-//   - refuse a tampered zone and a zone signed under the wrong key.
+//   - refuse a tampered zone and a zone signed under the wrong key,
+//   - roll back a tampered IXFR and apply the next valid one.
 // The bootstrap test runs with one and with two frontend shards, a further
 // test pits the CH introspection of a real ReplicaRuntime against an edge's,
 // and the last one round-trips that replica's observation through its
@@ -433,6 +434,99 @@ TEST_F(EdgeTest, ZoneSignedUnderWrongKeyIsRejected) {
     }));
     EXPECT_FALSE(edge.ready());
     EXPECT_EQ(edge.registry().counter("edge.axfr_bootstraps").value(), 0u);
+  });
+}
+
+TEST_F(EdgeTest, TamperedIxfrIsRolledBack) {
+  // After a good bootstrap the core journals an update it never signed: its
+  // IXFR carries a forged A record at www and no SIG for it. The edge must
+  // count the rejection and roll the diff back (same serial, same answers,
+  // same generation), then apply the next valid update.
+  const threshold::DealtKey dealt = deal(37);
+  const dns::SignFn sign = signer_for(dealt, 37);
+  const dns::Zone good = signed_zone(dealt, 37);
+  auto core_server = std::make_unique<dns::AuthoritativeServer>(good);
+  dns::AuthoritativeServer* core_raw = core_server.get();
+  std::unique_ptr<DnsFrontend> core_frontend;
+  const SockAddr core_addr = start_core(core_raw, &core_frontend);
+
+  EdgeRuntime edge(loop_, edge_config(write_zone_public(dealt), core_addr));
+  edge.start();
+  const SockAddr edge_addr = edge.frontend().bound_addr();
+
+  // The core server is loop-confined: mutate it there and wait.
+  const auto on_loop = [&](const std::function<void()>& fn) {
+    std::atomic<bool> done{false};
+    loop_.post([&] {
+      fn();
+      done.store(true, std::memory_order_release);
+    });
+    return wait_for([&] { return done.load(std::memory_order_acquire); });
+  };
+  const auto ask = [&](const char* name, dns::RRType type) {
+    StubResolver r = resolver_for(edge_addr);
+    const auto res = r.query(dns::Name::parse(name), type);
+    EXPECT_TRUE(res.ok) << name << ": " << res.error;
+    return res.response;
+  };
+  const auto edge_serial = [&] {
+    for (const auto& rr : ask("example.com.", dns::RRType::kSOA).answers) {
+      if (rr.type == dns::RRType::kSOA) return dns::SoaRdata::decode(rr.rdata).serial;
+    }
+    return std::uint32_t{0};
+  };
+  const auto counter = [&](const char* name) {
+    return edge.registry().counter(name).value();
+  };
+
+  run_with_client([&] {
+    ASSERT_TRUE(wait_for([&] { return edge.ready(); })) << "edge never bootstrapped";
+    const std::uint64_t boot_gen = edge.generation();
+    const std::uint32_t boot_serial = edge_serial();
+    const dns::Message www_before = ask("www.example.com.", dns::RRType::kA);
+    ASSERT_FALSE(www_before.answers.empty());
+
+    ASSERT_TRUE(on_loop([&] {
+      dns::Message forged;
+      forged.opcode = dns::Opcode::kUpdate;
+      forged.questions.push_back({origin_, dns::RRType::kSOA, dns::RRClass::kIN});
+      forged.updates().push_back({dns::Name::parse("www.example.com."), dns::RRType::kA,
+                                  dns::RRClass::kIN, 300,
+                                  dns::ARdata::from_text("192.0.2.66").encode()});
+      ASSERT_EQ(core_raw->apply_update(forged, kInception + 100).rcode,
+                dns::Rcode::kNoError);
+      core_raw->finalize_journal();  // journaled with no SIGs installed
+    }));
+    edge.request_refresh();
+    ASSERT_TRUE(wait_for([&] { return counter("edge.verify_failures") >= 1; }))
+        << "edge never rejected the forged IXFR";
+    EXPECT_EQ(counter("edge.ixfr_applied"), 0u);
+    EXPECT_EQ(counter("edge.axfr_bootstraps"), 1u);
+    EXPECT_EQ(edge.generation(), boot_gen);
+    EXPECT_EQ(edge_serial(), boot_serial);
+    EXPECT_EQ(ask("www.example.com.", dns::RRType::kA).answers, www_before.answers)
+        << "edge serves the forged record";
+    // A question the packet cache has not seen reads the zone itself.
+    const Bytes forged_rdata = dns::ARdata::from_text("192.0.2.66").encode();
+    for (const auto& rr : ask("www.example.com.", dns::RRType::kANY).answers) {
+      EXPECT_FALSE(rr.type == dns::RRType::kA && rr.rdata == forged_rdata)
+          << "the forged record is still in the serving zone";
+    }
+
+    // An honest core at the bootstrap serial commits a signed update; the
+    // edge, still at that serial, applies it by IXFR.
+    ASSERT_TRUE(on_loop([&] {
+      *core_raw = dns::AuthoritativeServer(good);
+      apply_signed_update(*core_raw, sign, "added.example.com.", "10.1.1.1");
+    }));
+    edge.request_refresh();
+    ASSERT_TRUE(wait_for([&] { return edge.generation() > boot_gen; }))
+        << "edge never applied the valid update";
+    EXPECT_EQ(counter("edge.ixfr_applied"), 1u);
+    EXPECT_EQ(counter("edge.axfr_bootstraps"), 1u);
+    EXPECT_EQ(edge_serial(), boot_serial + 1);
+    EXPECT_FALSE(ask("added.example.com.", dns::RRType::kA).answers.empty());
+    EXPECT_EQ(ask("www.example.com.", dns::RRType::kA).answers, www_before.answers);
   });
 }
 
