@@ -30,10 +30,14 @@
 // --quick caps the cold-restart, update and edge-refresh sweeps at 100k
 // RRsets for CI smoke runs.
 // --threads forwards to Zone::from_wire (0 = hardware concurrency).
-// --max-parse-us N exits nonzero if the 100k-RRset row's v2 zone parse
-// exceeds N microseconds — the CI perf-smoke regression gate.
+// --max-parse-us N exits nonzero if the fastest of the 100k-RRset row's
+// kParseRuns v2 zone parses exceeds N microseconds — the CI perf-smoke
+// regression gate. The first parse runs right after the synthetic zone is
+// freed and pays for that free in the allocator, so a single timing read
+// 2-4x the steady value on a loaded machine with no code change.
 #include <time.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -130,7 +134,8 @@ struct RestartRow {
   std::size_t snapshot_bytes = 0;
   std::size_t wal_tail = 0;
   unsigned parse_threads = 0;    ///< Zone::from_wire thread request (0 = auto)
-  double zone_parse_us = 0;      ///< Zone::from_wire, SDNSZONE2 encoding
+  double zone_parse_us = 0;      ///< first Zone::from_wire, SDNSZONE2 encoding
+  double zone_parse_min_us = 0;  ///< fastest of kParseRuns (the gated value)
   double zone_parse_v1_us = 0;   ///< Zone::from_wire, legacy v1 encoding
   double zone_parse_ms = 0;      ///< zone_parse_us / 1000 (kept for trajectory)
   double open_ms = 0;            ///< DurableZoneStore ctor incl. verify (parse)
@@ -162,6 +167,9 @@ void synthetic_zone_wires(std::size_t rrsets, Bytes& wire, Bytes& wire_v1) {
   wire_v1 = zone.to_wire_v1();
 }
 
+/// SDNSZONE2 parses per cold-restart row.
+constexpr int kParseRuns = 5;
+
 RestartRow bench_restart(const std::string& base, std::size_t rrsets,
                          unsigned threads) {
   const std::string dir = fresh_dir(base, "restart_" + std::to_string(rrsets));
@@ -192,13 +200,15 @@ RestartRow bench_restart(const std::string& base, std::size_t rrsets,
     store.sync();
   }
 
-  {
+  for (int run = 0; run < kParseRuns; ++run) {
     const double t0 = now_s();
     const sdns::dns::Zone parsed = sdns::dns::Zone::from_wire(wire, threads);
-    row.zone_parse_us = (now_s() - t0) * 1e6;
-    row.zone_parse_ms = row.zone_parse_us / 1e3;
+    const double us = (now_s() - t0) * 1e6;
     if (parsed.rrset_count() < rrsets) std::abort();  // sanity
+    if (run == 0) row.zone_parse_us = us;
+    row.zone_parse_min_us = run == 0 ? us : std::min(row.zone_parse_min_us, us);
   }
+  row.zone_parse_ms = row.zone_parse_us / 1e3;
   {
     const double t0 = now_s();
     const sdns::dns::Zone parsed = sdns::dns::Zone::from_wire(wire_v1);
@@ -464,14 +474,14 @@ int main(int argc, char** argv) {
     const RestartRow row = bench_restart(dir, rrsets, threads);
     std::printf(
         "restart %8zu rrsets  zone %9zu B  snapshot %9zu B  parse %8.2f ms  "
-        "(v1 %8.2f ms)  open %8.2f ms\n",
-        row.rrsets, row.zone_bytes, row.snapshot_bytes, row.zone_parse_ms,
-        row.zone_parse_v1_us / 1e3, row.open_ms);
-    if (max_parse_us > 0 && rrsets == 100000 && row.zone_parse_us > max_parse_us) {
+        "(min of %d %8.2f ms, v1 %8.2f ms)  open %8.2f ms\n",
+        row.rrsets, row.zone_bytes, row.snapshot_bytes, row.zone_parse_ms, kParseRuns,
+        row.zone_parse_min_us / 1e3, row.zone_parse_v1_us / 1e3, row.open_ms);
+    if (max_parse_us > 0 && rrsets == 100000 && row.zone_parse_min_us > max_parse_us) {
       std::fprintf(stderr,
-                   "perf gate: 100k-RRset zone parse %.0f us exceeds --max-parse-us "
-                   "%.0f\n",
-                   row.zone_parse_us, max_parse_us);
+                   "perf gate: 100k-RRset zone parse (min of %d) %.0f us exceeds "
+                   "--max-parse-us %.0f\n",
+                   kParseRuns, row.zone_parse_min_us, max_parse_us);
       gate_failed = true;
     }
     char buf[512];
@@ -479,11 +489,11 @@ int main(int argc, char** argv) {
         buf, sizeof buf,
         "%s    {\"rrsets\": %zu, \"zone_bytes\": %zu, \"snapshot_bytes\": %zu, "
         "\"wal_tail_records\": %zu, \"parse_threads\": %u, "
-        "\"zone_parse_us\": %.0f, \"zone_parse_v1_us\": %.0f, "
-        "\"zone_parse_ms\": %.2f, \"open_ms\": %.2f}",
+        "\"zone_parse_us\": %.0f, \"zone_parse_min_us\": %.0f, "
+        "\"zone_parse_v1_us\": %.0f, \"zone_parse_ms\": %.2f, \"open_ms\": %.2f}",
         first ? "" : ",\n", row.rrsets, row.zone_bytes, row.snapshot_bytes,
-        row.wal_tail, row.parse_threads, row.zone_parse_us, row.zone_parse_v1_us,
-        row.zone_parse_ms, row.open_ms);
+        row.wal_tail, row.parse_threads, row.zone_parse_us, row.zone_parse_min_us,
+        row.zone_parse_v1_us, row.zone_parse_ms, row.open_ms);
     json << buf;
     first = false;
   }

@@ -633,10 +633,6 @@ void AtomicBroadcast::handle_complain(unsigned from, Reader& r) {
 }
 
 void AtomicBroadcast::start_fallback_vote(bool my_input) {
-  if (!opt_.randomized_fallback) {
-    on_fallback_decision(bba_instance(), true);
-    return;
-  }
   const std::uint64_t instance = bba_instance();
   auto it = bbas_.find(instance);
   if (it == bbas_.end()) {

@@ -82,8 +82,7 @@ class AtomicBroadcast {
   };
 
   struct Options {
-    double complaint_timeout = 2.0;   ///< seconds; doubles per failed attempt
-    bool randomized_fallback = true;  ///< gate epoch change on binary agreement
+    double complaint_timeout = 2.0;  ///< seconds; doubles per failed attempt
     /// Byzantine fault injection (chaos testing): when this node is the
     /// epoch's leader it binds each sequence number to the real digest for
     /// half of its peers and to a phantom digest (whose payload does not

@@ -57,15 +57,6 @@ struct ReplicaConfig {
   dns::UpdatePolicy update_policy;
   std::uint32_t signature_validity = 30 * 24 * 3600;
   double complaint_timeout = 5.0;
-  /// Group commit for RFC 2136 updates: concurrent updates at the gateway
-  /// are coalesced into one atomic-broadcast payload, so write throughput
-  /// stops paying one consensus round per update. An update arriving while
-  /// a round is in flight always queues for the next batch; a positive
-  /// window additionally delays the first submit to let a burst gather.
-  /// Zero (the default) batches only what naturally queues behind a round.
-  double update_batch_window = 0.0;
-  /// Most updates coalesced into one abcast payload (>= 1).
-  std::size_t update_batch_max = 64;
   /// IXFR journal depth (AuthoritativeServer::set_journal_limit): how many
   /// committed update diffs are kept for incremental transfers before old
   /// serials fall back to AXFR.

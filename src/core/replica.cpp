@@ -47,6 +47,8 @@ constexpr std::uint8_t kSnapshotCurrentFrame = 0x05;
 // format is produced and consumed only in this file.
 constexpr std::uint8_t kPayloadSingle = 0x01;
 constexpr std::uint8_t kPayloadBatch = 0x02;
+/// Most updates coalesced into one abcast payload.
+constexpr std::size_t kMaxBatch = 64;
 /// Seconds before an unanswered batch round stops blocking the next one
 /// (liveness backstop; see maybe_submit_updates). Generous: covers several
 /// abcast epoch changes under churn without tripping on a healthy round.
@@ -79,6 +81,12 @@ std::optional<std::uint64_t> decode_cursor(BytesView body) {
   }
 }
 
+// Whether a DNS request is an RFC 2136 update (opcode 5), read from its
+// header without parsing it.
+bool is_update_wire(BytesView wire) {
+  return wire.size() >= 12 && ((wire[2] >> 3) & 0x0f) == 5;
+}
+
 Bytes encode_payload(ClientId client, BytesView request) {
   Writer w;
   w.u8(kPayloadSingle);
@@ -98,8 +106,7 @@ bool payload_mutates(BytesView payload) {
     if (tag == kPayloadBatch) return true;
     if (tag != kPayloadSingle) return false;
     r.u64();  // client
-    const Bytes wire = r.lp32();
-    return wire.size() >= 12 && ((wire[2] >> 3) & 0x0f) == 5;
+    return is_update_wire(r.lp32());
   } catch (const util::ParseError&) {
     return false;
   }
@@ -187,7 +194,7 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
       // would advance its cursor under the running iteration and skip a
       // delivery. Defer to the event loop.
       if (!batch_in_flight_ && !update_queue_.empty() && cb_.set_timer) {
-        cb_.set_timer(0.0, [this] { maybe_submit_updates(false); });
+        cb_.set_timer(0.0, [this] { maybe_submit_updates(); });
       }
     };
     acb.now = cb_.now;
@@ -232,34 +239,18 @@ void ReplicaNode::on_client_request(ClientId client, BytesView wire) {
   // Updates go through the group-commit queue; everything else (reads in
   // disseminate mode, unclassifiable noise) is disseminated one per round
   // as before.
-  const bool is_update = wire.size() >= 12 && ((wire[2] >> 3) & 0x0f) == 5;
-  if (is_update) {
+  if (is_update_wire(wire)) {
     update_queue_.emplace_back(client, Bytes(wire.begin(), wire.end()));
-    maybe_submit_updates(false);
+    maybe_submit_updates();
     return;
   }
   abcast_->submit(encode_payload(client, wire));
 }
 
-void ReplicaNode::maybe_submit_updates(bool window_elapsed) {
+void ReplicaNode::maybe_submit_updates() {
   if (!abcast_) return;
   while (!update_queue_.empty() && !batch_in_flight_) {
-    const std::size_t cap = std::max<std::size_t>(1, config_.update_batch_max);
-    // A positive window delays the first submit so a burst can gather; an
-    // update that queued behind an in-flight round never waits again (the
-    // round itself was the window).
-    if (!window_elapsed && config_.update_batch_window > 0 && cb_.set_timer &&
-        update_queue_.size() < cap) {
-      if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        cb_.set_timer(config_.update_batch_window, [this] {
-          batch_timer_armed_ = false;
-          maybe_submit_updates(true);
-        });
-      }
-      return;
-    }
-    const std::size_t count = std::min(cap, update_queue_.size());
+    const std::size_t count = std::min(kMaxBatch, update_queue_.size());
     Bytes payload;
     if (count == 1) {
       payload = encode_payload(update_queue_.front().first,
@@ -299,7 +290,7 @@ void ReplicaNode::maybe_submit_updates(bool window_elapsed) {
             *in_flight_digest_ == digest) {
           batch_in_flight_ = false;
           in_flight_digest_.reset();
-          maybe_submit_updates(false);
+          maybe_submit_updates();
         }
       });
     }
@@ -321,13 +312,16 @@ void ReplicaNode::on_replica_message(unsigned from, BytesView msg) {
     if (!sid) return;
     if (signing_ && signing_->session_id() == *sid) {
       signing_->on_message(body);
+      // A session that just completed gives way to the next SIG task only
+      // here, after its on_message returned; the entry may then be done.
+      if (signing_->done() && sign_update()) {
+        ++current_batch_->next;
+        continue_batch();
+      }
       return;
     }
-    // Session not (yet) active here: replicas run signatures sequentially
-    // and at different speeds, so buffer messages for future sessions.
     if (*sid > last_finished_sid_) {
-      auto& queue = pending_signing_[*sid];
-      if (queue.size() < 4096) queue.emplace_back(body.begin(), body.end());
+      buffer_signing_message(*sid, body);
       return;
     }
     // A peer is re-sending shares for a session we already finished — it
@@ -471,13 +465,12 @@ void ReplicaNode::try_finish_recovery() {
   // execution pipeline and any in-flight signing work.
   exec_queue_.clear();
   executing_ = false;
-  current_update_.reset();
   current_batch_.reset();
   // fast_forward may have skipped the delivery that would have cleared the
   // in-flight flag; leave it set and queued updates would wait forever.
   batch_in_flight_ = false;
   in_flight_digest_.reset();
-  retired_session_ = std::move(signing_);
+  signing_.reset();
   ++signing_timer_gen_;
   pending_signing_.clear();
   recovering_ = false;
@@ -488,10 +481,9 @@ void ReplicaNode::try_finish_recovery() {
   // The WAL's history no longer leads to this state — re-anchor the disk
   // with an unconditional snapshot so the next restart recovers to here.
   store_->checkpoint([this] { return make_store_state(); });
-  ++recoveries_completed_;
   c_recoveries_->inc();
   SDNS_LOG_INFO("replica ", secret_.id, ": recovered to delivery cursor ", cursor);
-  maybe_submit_updates(false);
+  maybe_submit_updates();
 }
 
 void ReplicaNode::stand_down_recovery(const char* why) {
@@ -560,6 +552,7 @@ bool ReplicaNode::install_state(const store::ZoneState& state) {
     }
   }
   bump_zone_generation();
+  notify_zone_committed();
   deliveries_ = state.deliveries;
   update_counter_ = state.update_counter;
   abcast_->fast_forward(state.abcast_cursor);
@@ -612,6 +605,7 @@ void ReplicaNode::install_zone_share(
   // Served records don't change, but signatures produced from here on come
   // from the refreshed share; treat it as a new signature generation.
   bump_zone_generation();
+  notify_zone_committed();
 }
 
 void ReplicaNode::execute_next() {
@@ -621,7 +615,7 @@ void ReplicaNode::execute_next() {
     exec_queue_.pop_front();
     execute(payload);
     // execute() clears executing_ for synchronous operations; updates with
-    // signature work leave it set until finish_update().
+    // signature work leave it set until finish_batch().
   }
   // Idle between operations: the zone reflects exactly `deliveries_`
   // executed requests, so waiting peers get their snapshot and the store
@@ -640,79 +634,66 @@ void ReplicaNode::execute(const Bytes& payload) {
   // whole update batch plus any payloads that queued behind an in-flight
   // signing session. No-op for non-mutating payloads and a clean log.
   if (payload_mutates(payload)) store_->sync();
-  ClientId client = 0;
-  dns::Message request;
+  // A single payload carries one request; one that carries an update runs
+  // as a batch of one, so every update takes the same path.
+  UpdateBatch batch;
+  bool single = false;
   try {
     Reader r(payload);
     const std::uint8_t tag = r.u8();
-    if (tag == kPayloadBatch) {
-      UpdateBatch batch;
-      const std::uint16_t count = r.u16();
-      batch.entries.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        const ClientId entry_client = r.u64();
-        const Bytes wire = r.lp32();
-        batch.entries.emplace_back(entry_client, dns::Message::decode(wire));
-      }
-      r.expect_done();
-      if (batch.entries.empty()) {
-        executing_ = false;
-        return;
-      }
-      current_batch_ = std::move(batch);
-      continue_batch();
-      return;
+    if (tag != kPayloadSingle && tag != kPayloadBatch) {
+      throw util::ParseError("bad payload tag");
     }
-    if (tag != kPayloadSingle) throw util::ParseError("bad payload tag");
-    client = r.u64();
-    const Bytes wire = r.lp32();
+    single = tag == kPayloadSingle;
+    const std::uint16_t count = single ? 1 : r.u16();
+    batch.entries.reserve(count);
+    for (std::uint16_t i = 0; i < count; ++i) {
+      const ClientId client = r.u64();
+      const Bytes wire = r.lp32();
+      batch.entries.emplace_back(client, dns::Message::decode(wire));
+    }
     r.expect_done();
-    request = dns::Message::decode(wire);
   } catch (const util::ParseError&) {
     SDNS_LOG_DEBUG("replica ", secret_.id, ": undecodable request payload");
     executing_ = false;
     return;
   }
-  if (request.opcode == dns::Opcode::kUpdate) {
-    c_update_batches_->inc();  // a lone update is a batch of one
-    h_update_batch_size_->observe(1);
-    run_update(client, request);
-  } else {
-    run_query(client, request);
+  if (single && batch.entries.front().second.opcode != dns::Opcode::kUpdate) {
+    run_query(batch.entries.front().first, batch.entries.front().second);
     executing_ = false;
+    return;
   }
+  if (batch.entries.empty()) {
+    executing_ = false;
+    return;
+  }
+  current_batch_ = std::move(batch);
+  continue_batch();
 }
 
 void ReplicaNode::continue_batch() {
-  // Drive the batch's entries in order. An entry whose signing work is
-  // asynchronous leaves `next` unchanged until finish_update() advances it
-  // (via complete_update), which re-enters this loop.
-  while (current_batch_ && current_batch_->next < current_batch_->entries.size()) {
-    const std::size_t before = current_batch_->next;
-    const auto& entry = current_batch_->entries[before];
-    batch_stepping_ = true;
-    if (entry.second.opcode == dns::Opcode::kUpdate) {
-      run_update(entry.first, entry.second);
-    } else {
+  // Drive the batch's entries in order. An entry whose signing waits for
+  // peer shares returns here with `next` unchanged; the arrival that
+  // completes its last SIG (on_replica_message) advances it and calls back.
+  UpdateBatch& batch = *current_batch_;
+  while (batch.next < batch.entries.size()) {
+    const auto& [client, request] = batch.entries[batch.next];
+    if (request.opcode != dns::Opcode::kUpdate) {
       // A batch payload should only carry updates; execute anything else
       // deterministically anyway (a corrupt gateway controls the content).
-      run_query(entry.first, entry.second);
-      ++current_batch_->next;
+      run_query(client, request);
+    } else if (!run_update(client, request)) {
+      return;  // suspended
     }
-    batch_stepping_ = false;
-    if (current_batch_ && current_batch_->next == before) return;  // suspended
+    ++batch.next;
   }
-  if (current_batch_) finish_batch();
+  finish_batch();
 }
 
 void ReplicaNode::finish_batch() {
   UpdateBatch batch = std::move(*current_batch_);
   current_batch_.reset();
-  // One generation bump covers every mutation in the batch. Mid-batch
-  // reads were answered with new content under the old generation — those
-  // cache entries flush right here, before any update response below can
-  // tell a client its write is done, so the no-stale invariant holds.
-  if (batch.dirty) bump_zone_generation();
+  if (batch.dirty) notify_zone_committed();
   c_update_batches_->inc();
   h_update_batch_size_->observe(batch.entries.size());
   for (const auto& [client, response] : batch.responses) {
@@ -722,43 +703,13 @@ void ReplicaNode::finish_batch() {
   execute_next();
 }
 
-void ReplicaNode::complete_update() {
-  if (current_batch_) {
-    ++current_batch_->next;
-    // Inside the continue_batch loop the step counter is enough; from an
-    // asynchronous finish_update the loop must be re-entered.
-    if (!batch_stepping_) continue_batch();
-    return;
-  }
-  executing_ = false;
-  execute_next();
-}
-
-void ReplicaNode::note_zone_mutated(bool committed) {
-  if (current_batch_) {
-    current_batch_->dirty = true;
-    return;
-  }
-  bump_zone_generation(committed);
-}
-
-void ReplicaNode::respond_update(ClientId client, const dns::Message& response) {
-  if (current_batch_) {
-    current_batch_->responses.emplace_back(client, response);
-    return;
-  }
-  respond(client, response);
-}
-
 void ReplicaNode::run_query(ClientId client, const dns::Message& request) {
-  ++executed_reads_;
   c_reads_->inc();
   charge(threshold::CostEvent::kDnsQuery);
   respond(client, server_.answer_query(request));
 }
 
-void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
-  ++executed_updates_;
+bool ReplicaNode::run_update(ClientId client, const dns::Message& request) {
   c_updates_->inc();
   charge(threshold::CostEvent::kDnsUpdate);
   // Deterministic logical inception time shared by all replicas.
@@ -766,44 +717,57 @@ void ReplicaNode::run_update(ClientId client, const dns::Message& request) {
       1'000'000 + static_cast<std::uint32_t>(update_counter_);
   ++update_counter_;
   dns::UpdateResult result = server_.apply_update(request, inception);
-  // The generation must be ahead of any response computed against the new
-  // zone, so bump before responding — a frontend shard can then never stamp
-  // a fresh answer with a stale generation. Inside a batch both the bump
-  // and the responses are deferred to finish_batch(), which preserves the
-  // same ordering at batch granularity.
-  if (result.rcode == dns::Rcode::kNoError) note_zone_mutated(result.sig_tasks.empty());
+  UpdateBatch& batch = *current_batch_;
+  // One generation bump per batch, at its first change: every cache entry
+  // from before the batch is flushed before any replica can acknowledge
+  // it, and cache_generation() keeps the answers given mid-batch uncached.
+  if (result.rcode == dns::Rcode::kNoError && !batch.dirty) {
+    batch.dirty = true;
+    bump_zone_generation();
+  }
   if (result.rcode != dns::Rcode::kNoError || result.sig_tasks.empty()) {
-    respond_update(client,
-                   dns::AuthoritativeServer::update_response(request, result.rcode));
-    complete_update();
-    return;
+    batch.responses.emplace_back(
+        client, dns::AuthoritativeServer::update_response(request, result.rcode));
+    return true;
   }
   if (config_.base_case) {
     // Unmodified named: sign locally with the zone's private key.
     for (const auto& task : result.sig_tasks) {
       charge(threshold::CostEvent::kLocalSign);
       server_.install_signature(task, crypto::rsa_sign_sha1(*local_key_, task.data));
-      ++signatures_computed_;
       c_signatures_->inc();
     }
     server_.finalize_journal();
-    note_zone_mutated(true);
-    respond_update(client, dns::AuthoritativeServer::update_response(
-                               request, dns::Rcode::kNoError));
-    complete_update();
-    return;
+    batch.responses.emplace_back(
+        client, dns::AuthoritativeServer::update_response(request, dns::Rcode::kNoError));
+    return true;
   }
-  current_update_ = PendingUpdate{client, request, std::move(result.sig_tasks), 0};
-  start_next_signature();
+  batch.tasks = std::move(result.sig_tasks);
+  batch.next_task = 0;
+  return sign_update();
 }
 
-void ReplicaNode::start_next_signature() {
-  PendingUpdate& update = *current_update_;
-  const std::size_t index = update.next_task;
-  const dns::SigTask& task = update.tasks[index];
-  // Session ids are derived from the deterministic execution sequence, so
-  // every replica runs the same session for the same SIG record.
-  const std::uint64_t sid = (update_counter_ << 8) | index;
+bool ReplicaNode::sign_update() {
+  UpdateBatch& batch = *current_batch_;
+  // named computes SIG records sequentially (§5.2): one threshold session
+  // per task. A session may complete inside start() (its shares were
+  // buffered); its on_complete advances next_task and the loop goes on.
+  while (batch.next_task < batch.tasks.size()) {
+    start_signature(batch.next_task);
+    if (!signing_->done()) return false;
+  }
+  signing_.reset();
+  server_.finalize_journal();  // the diff now includes the fresh signatures
+  batch.tasks.clear();
+  const auto& [client, request] = batch.entries[batch.next];
+  batch.responses.emplace_back(
+      client, dns::AuthoritativeServer::update_response(request, dns::Rcode::kNoError));
+  return true;
+}
+
+void ReplicaNode::start_signature(std::size_t index) {
+  const dns::SigTask& task = current_batch_->tasks[index];
+  const std::uint64_t sid = session_id(update_counter_, index);
   const bn::BigInt x = threshold::hash_to_element(*zone_key_, task.data);
   threshold::SessionCallbacks scb;
   scb.send_to_all = [this](const Bytes& m) {
@@ -816,23 +780,15 @@ void ReplicaNode::start_next_signature() {
   scb.charge = cb_.charge;
   scb.metrics = metrics_;
   scb.now = cb_.now;
-  scb.on_complete = [this, index](const bn::BigInt& y) {
-    PendingUpdate& u = *current_update_;
-    server_.install_signature(u.tasks[index], threshold::signature_bytes(*zone_key_, y));
-    note_zone_mutated(index + 1 == u.tasks.size());
-    ++signatures_computed_;
+  scb.on_complete = [this, index, sid](const bn::BigInt& y) {
+    UpdateBatch& batch = *current_batch_;
+    server_.install_signature(batch.tasks[index], threshold::signature_bytes(*zone_key_, y));
     c_signatures_->inc();
-    last_finished_sid_ = signing_->session_id();
-    pending_signing_.erase(last_finished_sid_);
-    finished_sigs_[last_finished_sid_] = y;
+    last_finished_sid_ = sid;
+    pending_signing_.erase(pending_signing_.begin(), pending_signing_.upper_bound(sid));
+    finished_sigs_[sid] = y;
     while (finished_sigs_.size() > 128) finished_sigs_.erase(finished_sigs_.begin());
-    ++u.next_task;
-    if (u.next_task < u.tasks.size()) {
-      // named computes SIG records sequentially (§5.2).
-      start_next_signature();
-    } else {
-      finish_update();
-    }
+    batch.next_task = index + 1;
   };
   const threshold::ShareCorruption share_corruption =
       corruption_ == CorruptionMode::kFlipShares    ? threshold::ShareCorruption::kFlipShare
@@ -840,34 +796,55 @@ void ReplicaNode::start_next_signature() {
       : corruption_ == CorruptionMode::kGarbageShares
           ? threshold::ShareCorruption::kGarbage
           : threshold::ShareCorruption::kNone;
-  // The transition runs inside the previous session's completion callback;
-  // retire it instead of destroying it out from under itself.
-  retired_session_ = std::move(signing_);
   signing_ = std::make_unique<threshold::SigningSession>(
       *zone_key_, zone_share_, config_.sig_protocol, sid, x, std::move(scb), rng_.fork(),
       share_corruption);
   signing_->start();
-  arm_signing_timer();
+  // Shares are broadcast exactly once; a peer that was crashed or cut off at
+  // that moment would wedge the session forever. Re-send this server's
+  // contribution periodically until the session completes.
+  if (cb_.set_timer) schedule_signing_resend(++signing_timer_gen_, sid);
   // Replay any shares that arrived before we reached this session.
   auto it = pending_signing_.find(sid);
   if (it != pending_signing_.end()) {
     auto buffered = std::move(it->second);
     pending_signing_.erase(it);
     for (const Bytes& m : buffered) {
-      if (signing_ && signing_->session_id() == sid && !signing_->done()) {
-        signing_->on_message(m);
-      }
+      if (!signing_->done()) signing_->on_message(m);
     }
   }
 }
 
-void ReplicaNode::arm_signing_timer() {
-  if (!cb_.set_timer || !signing_) return;
-  // Shares are broadcast exactly once; a peer that was crashed or cut off at
-  // that moment would wedge the session forever. Re-send this server's
-  // contribution periodically until the session completes (then once more,
-  // as the final signature, for stragglers).
-  schedule_signing_resend(++signing_timer_gen_, signing_->session_id());
+void ReplicaNode::buffer_signing_message(std::uint64_t sid, BytesView body) {
+  // Replicas run signatures sequentially and at different speeds, so shares
+  // for a session this replica has not reached yet are kept for it — within
+  // bounds, since any peer can name any sid. Only the next kRetainWindow
+  // updates' sessions qualify (a replica further behind moves to state
+  // transfer); past kMaxBufferedSessions the farthest session makes room;
+  // each holds kBufferedPerPeer × n messages. Dropping is safe: peers
+  // re-send shares on their resend timer and answer a share for a session
+  // they finished with its final signature.
+  if ((sid >> kSessionIndexBits) > update_counter_ + abcast::AtomicBroadcast::kRetainWindow) {
+    return;
+  }
+  auto it = pending_signing_.find(sid);
+  if (it == pending_signing_.end()) {
+    if (pending_signing_.size() >= kMaxBufferedSessions) {
+      const auto farthest = std::prev(pending_signing_.end());
+      if (farthest->first < sid) return;
+      pending_signing_.erase(farthest);
+    }
+    it = pending_signing_.try_emplace(sid).first;
+  }
+  if (it->second.size() < kBufferedPerPeer * config_.n) {
+    it->second.emplace_back(body.begin(), body.end());
+  }
+}
+
+std::size_t ReplicaNode::buffered_signing_messages() const {
+  std::size_t total = 0;
+  for (const auto& [sid, messages] : pending_signing_) total += messages.size();
+  return total;
 }
 
 void ReplicaNode::schedule_signing_resend(std::uint64_t gen, std::uint64_t sid,
@@ -882,25 +859,17 @@ void ReplicaNode::schedule_signing_resend(std::uint64_t gen, std::uint64_t sid,
   });
 }
 
-void ReplicaNode::finish_update() {
-  server_.finalize_journal();  // the diff now includes the fresh signatures
-  PendingUpdate update = std::move(*current_update_);
-  current_update_.reset();
-  retired_session_ = std::move(signing_);
-  respond_update(update.client,
-                 dns::AuthoritativeServer::update_response(update.request,
-                                                           dns::Rcode::kNoError));
-  complete_update();
-}
-
-void ReplicaNode::bump_zone_generation(bool committed) {
+void ReplicaNode::bump_zone_generation() {
   // Release pairs with the acquire load in the frontend shards: by the time
   // a shard observes the new generation, the mutation that caused it has
   // already happened-before on this (the only mutating) thread.
   const auto next =
       zone_generation_.fetch_add(1, std::memory_order_release) + 1;
   metrics_->gauge("replica.zone_gen").set(static_cast<std::int64_t>(next));
-  if (committed && cb_.zone_committed) cb_.zone_committed(next);
+}
+
+void ReplicaNode::notify_zone_committed() {
+  if (cb_.zone_committed) cb_.zone_committed(zone_generation_value());
 }
 
 void ReplicaNode::respond(ClientId client, const dns::Message& response) {

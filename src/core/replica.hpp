@@ -69,11 +69,11 @@ class ReplicaNode {
     std::function<void(ClientId, const util::Bytes&)> send_client;
     std::function<double()> now;
     std::function<void(double, std::function<void()>)> set_timer;
-    /// Fired (optional) with the new zone generation at each commit point:
-    /// an update batch or lone update whose signatures are all installed, a
-    /// recovery or disk-restore reinstall, a key-share refresh. Generation
-    /// bumps in the middle of a signing session do not fire it. The runtime
-    /// hangs RFC 1996 NOTIFY fan-out off this.
+    /// Fired (optional) with the zone generation at each commit point: the
+    /// end of an update batch that changed the zone (a lone update is a
+    /// batch of one), once all its signatures are installed; a recovery or
+    /// disk-restore reinstall; a key-share refresh. The runtime hangs RFC
+    /// 1996 NOTIFY fan-out off this.
     std::function<void(std::uint64_t)> zone_committed;
     /// Cost hook (optional): every CPU-costed operation of this replica and
     /// of the protocols below it.
@@ -115,7 +115,7 @@ class ReplicaNode {
   /// which is honest.
   void start_recovery();
   bool recovering() const { return recovering_; }
-  std::uint64_t recoveries_completed() const { return recoveries_completed_; }
+  std::uint64_t recoveries_completed() const { return c_recoveries_->value(); }
 
   /// Disk-first recovery: install the state the durable store recovered —
   /// zone and counters from the verified snapshot, then the WAL tail queued
@@ -160,42 +160,60 @@ class ReplicaNode {
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
 
-  // Statistics for benches.
-  std::uint64_t executed_reads() const { return executed_reads_; }
-  std::uint64_t executed_updates() const { return executed_updates_; }
-  std::uint64_t signatures_computed() const { return signatures_computed_; }
+  std::uint64_t signatures_computed() const { return c_signatures_->value(); }
 
-  /// Zone-generation counter: bumped (release) on the replica thread for
-  /// every observable zone mutation — an applied RFC 2136 update, an
-  /// installed threshold signature, a recovery reinstall. Frontend shards
-  /// read it (acquire) to stamp and lazily invalidate packet-cache entries;
-  /// it never decreases. Starts at 1 so generation 0 can mean "no replica
-  /// attached" in frontend unit tests.
+  /// The signing-session id of SIG task `index` of the `update`-th executed
+  /// update, the same on every replica. The index gets 16 bits: an update
+  /// fits one message of at most 64 KiB (under 5,500 RRs), and an RR costs
+  /// at most three SIG tasks (its RRset, its NXT, its predecessor's NXT)
+  /// plus one for the SOA, far below 65,536.
+  static constexpr unsigned kSessionIndexBits = 16;
+  static std::uint64_t session_id(std::uint64_t update, std::size_t index) {
+    return update << kSessionIndexBits | index;
+  }
+  /// Bounds on the shares buffered for signing sessions this replica has not
+  /// reached yet: sessions of at most the next kRetainWindow updates (a
+  /// replica further behind moves to state transfer), the nearest
+  /// kMaxBufferedSessions of them, kBufferedPerPeer × n messages each.
+  static constexpr std::size_t kMaxBufferedSessions = 1024;
+  static constexpr std::size_t kBufferedPerPeer = 4;
+  /// Messages buffered for future signing sessions (tests and debugging).
+  std::size_t buffered_signing_messages() const;
+
+  /// Zone-generation counter: bumped (release) on the replica thread once
+  /// per update batch that changes the zone — at its first change, before
+  /// any answer or acknowledgment can reflect it — and at a recovery
+  /// reinstall or share refresh. Frontend shards read it (acquire) to
+  /// lazily invalidate packet-cache entries; it never decreases. Starts at
+  /// 1 so generation 0 can mean "no replica attached" in frontend unit tests.
   const std::atomic<std::uint64_t>& zone_generation() const {
     return zone_generation_;
   }
   std::uint64_t zone_generation_value() const {
     return zone_generation_.load(std::memory_order_acquire);
   }
+  /// The generation an answer sent now may be cached under; none while an
+  /// update batch that changed the zone is still signing, since its answers
+  /// may lack SIGs the batch has yet to install.
+  std::optional<std::uint64_t> cache_generation() const {
+    if (current_batch_ && current_batch_->dirty) return std::nullopt;
+    return zone_generation_value();
+  }
 
  private:
-  struct PendingUpdate {
-    ClientId client;
-    dns::Message request;
-    std::vector<dns::SigTask> tasks;
-    std::size_t next_task = 0;
-  };
-
-  /// A delivered batch payload mid-execution. Entries run strictly in
-  /// order; the zone-generation bump and every update response are
-  /// deferred to finish_batch() so no client can see a NOERROR before the
-  /// flush-triggering bump (the packet cache's no-stale invariant holds at
-  /// batch granularity).
+  /// A delivered update payload mid-execution; every update runs in one (a
+  /// lone update as a batch of one). Entries run strictly in order, and the
+  /// entry being signed keeps its SIG tasks here. The zone generation is
+  /// bumped at the batch's first change; every update response and the
+  /// commit notification wait for finish_batch(), so no client sees a
+  /// NOERROR before its signatures are installed.
   struct UpdateBatch {
     std::vector<std::pair<ClientId, dns::Message>> entries;
     std::size_t next = 0;
+    std::vector<dns::SigTask> tasks;  ///< of entries[next], while it is signed
+    std::size_t next_task = 0;
     std::vector<std::pair<ClientId, dns::Message>> responses;
-    bool dirty = false;  ///< a zone mutation happened; one bump is owed
+    bool dirty = false;  ///< the zone changed (and the generation was bumped)
   };
 
   void execute_next();
@@ -213,27 +231,26 @@ class ReplicaNode {
   /// changing nothing, when the zone does not parse.
   bool install_state(const store::ZoneState& state);
   void run_query(ClientId client, const dns::Message& request);
-  void run_update(ClientId client, const dns::Message& request);
-  void start_next_signature();
-  void arm_signing_timer();
+  /// Applies one update entry of the current batch; true when it finished
+  /// synchronously, false while its signatures wait for peer shares.
+  bool run_update(ClientId client, const dns::Message& request);
+  /// Runs the current entry's SIG tasks from `next_task` on; true once all
+  /// are installed and the entry's response is queued.
+  bool sign_update();
+  void start_signature(std::size_t index);
+  void buffer_signing_message(std::uint64_t sid, util::BytesView body);
   void schedule_signing_resend(std::uint64_t gen, std::uint64_t sid,
                                unsigned attempts = 0);
-  void finish_update();
   void respond(ClientId client, const dns::Message& response);
-  std::uint64_t next_session_id();
-  /// `committed`: the zone is complete (no signature still pending), so
-  /// zone_committed fires.
-  void bump_zone_generation(bool committed = true);
+  void bump_zone_generation();
+  void notify_zone_committed();
   void charge(threshold::CostEvent e) {
     if (cb_.charge) cb_.charge(e);
   }
   // Update batching (gateway side + execution side).
-  void maybe_submit_updates(bool window_elapsed);
+  void maybe_submit_updates();
   void continue_batch();
   void finish_batch();
-  void complete_update();
-  void note_zone_mutated(bool committed);
-  void respond_update(ClientId client, const dns::Message& response);
 
   ReplicaConfig config_;
   abcast::NodeSecret secret_;
@@ -248,23 +265,19 @@ class ReplicaNode {
   std::unique_ptr<abcast::AtomicBroadcast> abcast_;
   std::deque<util::Bytes> exec_queue_;
   bool executing_ = false;
-  std::optional<PendingUpdate> current_update_;
   // Gateway-side group commit: updates wait here while a batch round is in
-  // flight (or, with a positive window, until it elapses), then ride out
-  // together as one payload. The in-flight flag clears when the submitted
-  // payload's digest comes back through delivery.
+  // flight, then ride out together as one payload. The in-flight flag
+  // clears when the submitted payload's digest comes back through delivery.
   std::deque<std::pair<ClientId, util::Bytes>> update_queue_;
   bool batch_in_flight_ = false;
-  bool batch_timer_armed_ = false;
   std::optional<abcast::Digest> in_flight_digest_;
-  // Execution-side state for a delivered batch payload.
+  // Execution-side state for a delivered update payload.
   std::optional<UpdateBatch> current_batch_;
-  bool batch_stepping_ = false;  ///< complete_update ran inside the loop
+  /// The session of the SIG task being signed; null between tasks. A
+  /// finished session is replaced only after its on_message() returns.
   std::unique_ptr<threshold::SigningSession> signing_;
-  /// The previous session, kept alive because transitions happen inside its
-  /// completion callback.
-  std::unique_ptr<threshold::SigningSession> retired_session_;
-  /// Shares arriving for sessions this (slower) replica has not reached yet.
+  /// Shares arriving for sessions this (slower) replica has not reached yet,
+  /// within the bounds above.
   std::map<std::uint64_t, std::vector<util::Bytes>> pending_signing_;
   std::uint64_t last_finished_sid_ = 0;
   /// Assembled signatures of recently finished sessions, kept so a lagging
@@ -277,13 +290,10 @@ class ReplicaNode {
   std::uint64_t deliveries_ = 0;
   std::uint64_t update_counter_ = 0;
   std::map<std::uint64_t, abcast::Digest> delivery_log_;
-  /// Superseded public keys from share refreshes, kept alive for sessions
-  /// (current or retired) that still reference them.
+  /// Superseded public keys from share refreshes, kept alive for a session
+  /// in flight that still references them.
   std::vector<std::shared_ptr<const threshold::ThresholdPublicKey>> old_zone_keys_;
 
-  std::uint64_t executed_reads_ = 0;
-  std::uint64_t executed_updates_ = 0;
-  std::uint64_t signatures_computed_ = 0;
   std::atomic<std::uint64_t> zone_generation_{1};
 
   /// Private registry when Callbacks::metrics is null (the simulator runs
@@ -315,7 +325,6 @@ class ReplicaNode {
   /// Peers that answered the snapshot request with "you are current"
   /// (their cursor <= ours) instead of a full snapshot.
   std::map<unsigned, std::uint64_t> recovery_current_acks_;
-  std::uint64_t recoveries_completed_ = 0;
   /// Peers whose snapshot request arrived mid-operation; answered as soon
   /// as the execution pipeline drains (dropping it would leave the
   /// requester recovering for good under steady update traffic).

@@ -122,6 +122,9 @@ ReplicatedService::ReplicatedService(ServiceOptions options, const dns::Name& or
     cb.charge = [this, i, &cost](threshold::CostEvent e) {
       net_->cpu(i).charge(cost.cost(e));
     };
+    if (opt_.zone_committed) {
+      cb.zone_committed = [this, i](std::uint64_t gen) { opt_.zone_committed(i, gen); };
+    }
     const bool corrupted =
         std::find(opt_.corrupted.begin(), opt_.corrupted.end(), i) != opt_.corrupted.end();
     CorruptionMode mode = corrupted ? opt_.corruption_mode : CorruptionMode::kHonest;

@@ -49,6 +49,9 @@ struct ServiceOptions {
   std::vector<std::string> data_dirs;
   /// Snapshot threshold for durable replicas (WAL bytes; 0 disables).
   std::uint64_t snapshot_log_bytes = 4ull << 20;
+  /// Called (optional) with (replica, generation) at each of a replica's
+  /// commit points — where the deployed runtime sends NOTIFY.
+  std::function<void(unsigned, std::uint64_t)> zone_committed;
 };
 
 class ReplicatedService {

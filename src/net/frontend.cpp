@@ -18,14 +18,11 @@ namespace {
 constexpr std::uint64_t kTcpBit = 1ULL << 63;
 constexpr std::uint64_t kUdpDoBit = 1ULL << 62;
 
-/// Cap on the (ClientId, DNS id) -> arrival time latency-pairing map.
-constexpr std::size_t kMaxInflight = 8192;
-
-/// Cap on the (ClientId, DNS id) -> pending cache-store map. Entries are
-/// consumed by the matching respond(); a flood of unanswered cacheable
-/// queries (replica-dropped packets, spoofed sources) evicts arbitrary
-/// victims at the cap and is aged out by the idle sweep, so caching
-/// degrades under attack but never shuts off.
+/// Cap on the (ClientId, DNS id) -> pending request map. Entries are
+/// consumed by the matching respond(); a flood of unanswered requests
+/// (replica-dropped packets, spoofed sources, retries nobody answers)
+/// evicts arbitrary victims at the cap and is aged out by the idle sweep,
+/// so caching and latency sampling degrade under attack but never shut off.
 constexpr std::size_t kMaxPending = 8192;
 
 const char* const kRcodeNames[16] = {
@@ -160,7 +157,7 @@ std::uint64_t DnsFrontend::current_generation() const {
                          : 0;
 }
 
-void DnsFrontend::note_request(ClientId client, BytesView wire) {
+void DnsFrontend::note_request(ClientId client, BytesView wire, Pending pending) {
   if (wire.size() < 12) return;
   const std::uint8_t opcode = (wire[2] >> 3) & 0x0f;
   if (opcode == 0) {
@@ -170,24 +167,34 @@ void DnsFrontend::note_request(ClientId client, BytesView wire) {
   } else {
     c_opcode_other_->inc();
   }
-  if (opt_.metrics && inflight_.size() < kMaxInflight) {
-    const auto id = static_cast<std::uint16_t>(wire[0] << 8 | wire[1]);
-    inflight_.emplace(std::make_pair(client, id), loop_.now());
+  if (!opt_.metrics && pending.key.empty()) return;  // nothing to pair
+  const auto pkey = std::make_pair(
+      client, static_cast<std::uint16_t>(wire[0] << 8 | wire[1]));
+  if (pending_.size() >= kMaxPending && pending_.find(pkey) == pending_.end()) {
+    pending_.erase(pending_.begin());  // arbitrary victim, never refuse
   }
+  // insert_or_assign, never emplace: an existing entry under this
+  // (client, id) is an orphan whose query was dropped or whose response
+  // is still in flight — keeping it would pair its stale key and arrival
+  // time with this request's response.
+  pending.registered = loop_.now();
+  pending_.insert_or_assign(pkey, std::move(pending));
 }
 
-void DnsFrontend::note_response(ClientId client, BytesView wire) {
-  if (wire.size() < 12) return;
+std::optional<DnsFrontend::Pending> DnsFrontend::note_response(ClientId client,
+                                                               BytesView wire) {
+  if (wire.size() < 12) return std::nullopt;
   c_rcode_[wire[3] & 0x0f]->inc();
-  if (!opt_.metrics) return;
   const auto id = static_cast<std::uint16_t>(wire[0] << 8 | wire[1]);
-  const auto it = inflight_.find(std::make_pair(client, id));
-  if (it == inflight_.end()) return;  // duplicate answer, or map was full
+  const auto it = pending_.find(std::make_pair(client, id));
+  if (it == pending_.end()) return std::nullopt;  // duplicate, or aged out
+  Pending pending = std::move(it->second);
+  pending_.erase(it);
   const auto us =
-      static_cast<std::uint64_t>((loop_.now() - it->second) * 1e6);
+      static_cast<std::uint64_t>((loop_.now() - pending.registered) * 1e6);
   h_latency_->observe(us);
   h_shard_latency_->observe(us);
-  inflight_.erase(it);
+  return pending;
 }
 
 void DnsFrontend::note_bypass(Cacheable why) {
@@ -378,21 +385,12 @@ void DnsFrontend::handle_udp_datagram(BytesView wire, const sockaddr_in& sa) {
   const SockAddr from = SockAddr::from_sockaddr(sa);
   const ClientId client = make_udp_client(from, payload, dnssec_ok,
                                           opt_.shard);
-  note_request(client, wire);
+  Pending pending;
   if (cacheable) {
-    const auto pkey = std::make_pair(client, shape.id);
-    if (pending_.size() >= kMaxPending && pending_.find(pkey) == pending_.end()) {
-      pending_.erase(pending_.begin());  // arbitrary victim, never refuse
-    }
-    // insert_or_assign, never emplace: an existing entry under this
-    // (client, id) is an orphan whose query was dropped or whose response
-    // is still in flight — keeping it would pair its stale key with this
-    // query's response.
-    pending_.insert_or_assign(
-        pkey, PendingStore{key_scratch_, shape.question_len,
-                           payload_bucket(shape.edns_payload),
-                           shape.dnssec_ok, loop_.now()});
+    pending = Pending{key_scratch_, shape.question_len,
+                      payload_bucket(shape.edns_payload), shape.dnssec_ok};
   }
+  note_request(client, wire, std::move(pending));
   on_request_(client, wire);
 }
 
@@ -445,9 +443,9 @@ void DnsFrontend::sweep_idle() {
   }
   c_idle_closed_->inc(idle.size());
   for (const std::uint64_t serial : idle) close_conn(serial);
-  // Age out pending cache-store contexts whose response never came, so the
-  // map can neither fill up for good nor hold a stale key for a future
-  // same-(client, id) response to mispair with.
+  // Age out pending entries whose response never came, so the map can
+  // neither fill up for good nor hold a stale key or arrival time for a
+  // future same-(client, id) response to mispair with.
   const double pending_cutoff = loop_.now() - opt_.pending_timeout;
   for (auto it = pending_.begin(); it != pending_.end();) {
     it = it->second.registered < pending_cutoff ? pending_.erase(it)
@@ -500,7 +498,7 @@ void DnsFrontend::on_conn_io(std::uint64_t serial, std::uint32_t events) {
       ++tcp_queries_;
       c_tcp_queries_->inc();
       const ClientId client = make_tcp_client(opt_.replica, serial);
-      note_request(client, *wire);
+      note_request(client, *wire, {});
       on_request_(client, *wire);
       if (conns_.find(serial) == conns_.end()) return;  // closed by reentry
     }
@@ -512,18 +510,8 @@ void DnsFrontend::on_conn_io(std::uint64_t serial, std::uint32_t events) {
 }
 
 void DnsFrontend::respond_udp(ClientId client, BytesView wire,
-                              std::optional<std::uint64_t> generation) {
-  // Claim the pending store context registered when the query arrived (if
-  // any); its presence is required for the response to be cached.
-  std::optional<PendingStore> pending;
-  if (wire.size() >= 12 && !pending_.empty()) {
-    const auto id = static_cast<std::uint16_t>(wire[0] << 8 | wire[1]);
-    const auto it = pending_.find(std::make_pair(client, id));
-    if (it != pending_.end()) {
-      pending = std::move(it->second);
-      pending_.erase(it);
-    }
-  }
+                              std::optional<std::uint64_t> generation,
+                              std::optional<Pending> pending) {
   const SockAddr to = client_udp_addr(client);
   const std::uint16_t advertised = client_udp_payload(client);
   const std::size_t limit =
@@ -559,7 +547,12 @@ void DnsFrontend::respond_udp(ClientId client, BytesView wire,
     c_send_errors_[0]->inc();
     c_send_errors_[1]->inc();
   }
-  if (!pending || !generation || truncated || !opt_.enable_cache) return;
+  // The store context registered when the query arrived is required for
+  // the response to be cached.
+  if (!pending || pending->key.empty() || !generation || truncated ||
+      !opt_.enable_cache) {
+    return;
+  }
   // Store only answers every client in the bucket could have received
   // whole, and only the deterministic outcomes (NoError / NXDomain).
   const std::uint8_t rcode = out[3] & 0x0f;
@@ -596,9 +589,9 @@ void DnsFrontend::respond_udp(ClientId client, BytesView wire,
 
 void DnsFrontend::respond(ClientId client, BytesView wire,
                           std::optional<std::uint64_t> generation) {
-  note_response(client, wire);
+  std::optional<Pending> pending = note_response(client, wire);
   if (client_is_udp(client)) {
-    respond_udp(client, wire, generation);
+    respond_udp(client, wire, generation, std::move(pending));
     return;
   }
   if (client_tcp_owner(client) != opt_.replica ||

@@ -157,7 +157,7 @@ class DnsFrontend {
   std::uint64_t tcp_queries() const { return tcp_queries_; }
   std::uint64_t truncated() const { return truncated_; }
   const PacketCache& packet_cache() const { return cache_; }
-  /// In-flight cacheable queries awaiting their respond() (tests/debug).
+  /// In-flight requests awaiting their respond() (tests/debug).
   std::size_t pending_entries() const { return pending_.size(); }
 
  private:
@@ -170,19 +170,21 @@ class DnsFrontend {
     double last_active = 0;
   };
 
-  /// Cache-key context registered when a cacheable query arrives, consumed
-  /// by the respond() that answers it. Its existence is the store
-  /// authorization: TSIG-signed or otherwise bypassed queries never
-  /// register one, so their responses can never be stored. It is an
-  /// authorization only, never trusted as an identification — (ClientId,
+  /// A request awaiting its respond(), registered on arrival (every
+  /// request when metrics are on, else only cacheable queries) and consumed
+  /// by the respond() that answers it. It carries the arrival time for
+  /// net.query.latency_us and, for a cacheable query, the cache-key context.
+  /// A key is the store authorization: TSIG-signed or otherwise bypassed
+  /// queries never get one, so their responses can never be stored. It is
+  /// an authorization only, never trusted as an identification — (ClientId,
   /// DNS id) pairs collide, so respond() re-derives the key from the
   /// response's own question and stores nothing on a mismatch.
-  struct PendingStore {
-    std::string key;
+  struct Pending {
+    std::string key;  ///< empty: the response may not be stored
     std::uint16_t question_len = 0;
     std::uint16_t bucket = 0;
     bool dnssec_ok = false;
-    double registered = 0;  ///< loop time; aged out by the idle sweep
+    double registered = 0;  ///< arrival (loop time); aged out by the idle sweep
   };
 
   void on_udp_ready();
@@ -193,11 +195,13 @@ class DnsFrontend {
   void close_conn(std::uint64_t serial);
   void sweep_idle();
   void respond_udp(ClientId client, util::BytesView wire,
-                   std::optional<std::uint64_t> generation);
+                   std::optional<std::uint64_t> generation,
+                   std::optional<Pending> pending);
   void serve_cached(const PacketCache::Entry& entry, util::BytesView query,
                     const QueryShape& shape, const sockaddr_in& from);
-  void note_request(ClientId client, util::BytesView wire);
-  void note_response(ClientId client, util::BytesView wire);
+  void note_request(ClientId client, util::BytesView wire, Pending pending);
+  /// Counts the response and claims its request's pending entry, if any.
+  std::optional<Pending> note_response(ClientId client, util::BytesView wire);
   void note_bypass(Cacheable why);
   std::uint64_t current_generation() const;
 
@@ -217,11 +221,11 @@ class DnsFrontend {
   std::uint64_t inject_seq_ = 0;
 
   PacketCache cache_;
-  /// Bounded (ClientId, DNS id) -> pending store context for in-flight
-  /// cacheable queries. A colliding arrival overwrites (the old entry is an
-  /// orphan), capacity evicts an arbitrary victim, and the idle sweep ages
-  /// out entries whose response never came.
-  std::map<std::pair<ClientId, std::uint16_t>, PendingStore> pending_;
+  /// Bounded (ClientId, DNS id) -> pending entry for in-flight requests. A
+  /// colliding arrival overwrites (the old entry is an orphan), capacity
+  /// evicts an arbitrary victim, and the idle sweep ages out entries whose
+  /// response never came.
+  std::map<std::pair<ClientId, std::uint16_t>, Pending> pending_;
 
   // Per-shard scratch: reused across datagrams so the steady-state receive
   // and cache-hit paths perform no allocation. The UDP side is a kernel
@@ -273,10 +277,6 @@ class DnsFrontend {
   obs::Counter* c_bypass_qform_[2];
   obs::Counter* c_bypass_xfr_[2];
   obs::Counter* c_bypass_notify_[2];
-  /// Request arrival times, keyed (ClientId, DNS id), matched by the first
-  /// respond() for that pair; bounded so an unanswerable flood cannot grow
-  /// it without limit.
-  std::map<std::pair<ClientId, std::uint16_t>, double> inflight_;
 };
 
 }  // namespace sdns::net

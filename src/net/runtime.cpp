@@ -200,13 +200,14 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
   cb.send_replica = [this](unsigned to, const Bytes& m) { mesh_->send(to, m); };
   cb.send_client = [this](core::ClientId client, const Bytes& m) {
     // Captured on the replica thread — the sole zone mutator — so the stamp
-    // can never be newer than the zone state this answer reflects. The
-    // pending-store gate in the frontend decides whether it is cached.
-    frontends_->respond(client, m, replica_->zone_generation_value());
+    // can never be newer than the zone state this answer reflects; none
+    // while an update batch is signing. The pending-store gate in the
+    // frontend decides whether it is cached.
+    frontends_->respond(client, m, replica_->cache_generation());
   };
   cb.now = [this] { return loop_.now(); };
-  // Every commit point (applied batch, installed signature, recovery
-  // install) schedules a NOTIFY round. Null-checked because the replica is
+  // Every commit point (signed update batch, recovery install, share
+  // refresh) schedules a NOTIFY round. Null-checked because the replica is
   // constructed — and may bump during disk restore — before the notifier.
   cb.zone_committed = [this](std::uint64_t) {
     if (notifier_) notifier_->on_commit();

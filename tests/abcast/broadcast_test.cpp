@@ -217,43 +217,6 @@ TEST(AtomicBroadcast, EquivocatingLeaderCannotCauseDivergence) {
   EXPECT_EQ(h.delivered[1][1], pa);
 }
 
-TEST(AtomicBroadcast, DeterministicFallbackOptionWorks) {
-  // randomized_fallback = false: epoch change directly after complaints.
-  const Group& g = group_4();
-  Simulator sim;
-  Network net(sim, Rng(77), 4, 0.002);
-  net.set_jitter(0.1);
-  Rng seed(76);
-  std::vector<std::unique_ptr<AtomicBroadcast>> nodes;
-  std::vector<std::vector<Bytes>> delivered(4);
-  for (unsigned i = 0; i < 4; ++i) {
-    AtomicBroadcast::Callbacks cb;
-    cb.send = [&net, i](unsigned to, const Bytes& m) { net.send(i, to, m); };
-    cb.deliver = [&delivered, i](const Bytes& p) { delivered[i].push_back(p); };
-    cb.now = [&sim] { return sim.now(); };
-    cb.set_timer = [&sim, &net, i](double d, std::function<void()> fn) {
-      sim.schedule(d, [&net, &sim, i, fn = std::move(fn)] {
-        net.cpu(i).enqueue(sim.now(), fn);
-      });
-    };
-    AtomicBroadcast::Options opt;
-    opt.complaint_timeout = 0.3;
-    opt.randomized_fallback = false;
-    nodes.push_back(std::make_unique<AtomicBroadcast>(g.pub, g.secrets[i], std::move(cb),
-                                                      opt, seed.fork()));
-    net.set_handler(i, [&nodes, i](NodeId from, Bytes m) {
-      nodes[i]->on_message(static_cast<unsigned>(from), m);
-    });
-  }
-  net.set_node_down(0, true);
-  nodes[2]->submit(to_bytes("deterministic-fallback"));
-  sim.run();
-  for (unsigned i = 1; i < 4; ++i) {
-    ASSERT_EQ(delivered[i].size(), 1u) << i;
-    EXPECT_GE(nodes[i]->epoch(), 1u);
-  }
-}
-
 TEST(AtomicBroadcast, MalformedMessagesIgnored) {
   Harness h(group_4());
   h.nodes[1]->on_message(0, to_bytes("\xA2garbage"));

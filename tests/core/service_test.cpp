@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dns/dnssec.hpp"
 
 namespace sdns::core {
@@ -28,6 +30,39 @@ const Name kOrigin = Name::parse("corp.example.");
 
 ReplicatedService make_service(ServiceOptions opt) {
   return ReplicatedService(std::move(opt), kOrigin, kZoneText);
+}
+
+/// An RFC 2136 update adding an A record at each of `hosts`.
+dns::Message add_update(const std::vector<std::string>& hosts) {
+  dns::Message update;
+  update.opcode = dns::Opcode::kUpdate;
+  update.questions.push_back({kOrigin, RRType::kSOA, dns::RRClass::kIN});
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    dns::ResourceRecord rr;
+    rr.name = Name::parse(hosts[i] + ".corp.example.");
+    rr.type = RRType::kA;
+    rr.ttl = 300;
+    rr.rdata = dns::ARdata::from_text("10.2." + std::to_string(i / 250) + "." +
+                                      std::to_string(i % 250 + 1))
+                   .encode();
+    update.updates().push_back(rr);
+  }
+  return update;
+}
+
+/// Sends `updates` concurrently through the client and runs the simulator
+/// until all are answered; returns how many succeeded.
+unsigned send_concurrently(ReplicatedService& svc, std::vector<dns::Message> updates) {
+  unsigned done = 0, ok = 0;
+  for (auto& update : updates) {
+    svc.client().send_update(std::move(update), [&](Client::Result r) {
+      ++done;
+      if (r.ok) ++ok;
+    });
+  }
+  while (done < updates.size() && svc.sim().step()) {
+  }
+  return ok;
 }
 
 TEST(Service, BaseCaseSingleServerQuery) {
@@ -185,27 +220,9 @@ TEST(Service, ConcurrentUpdatesAreBatchedIntoFewerRounds) {
   opt.topology = sim::Topology::kLan4;
   auto svc = make_service(opt);
   constexpr unsigned kOps = 6;
-
-  unsigned done = 0, ok = 0;
-  for (unsigned i = 0; i < kOps; ++i) {
-    dns::Message update;
-    update.opcode = dns::Opcode::kUpdate;
-    update.questions.push_back(
-        {kOrigin, dns::RRType::kSOA, dns::RRClass::kIN});
-    dns::ResourceRecord rr;
-    rr.name = Name::parse("h" + std::to_string(i) + ".corp.example.");
-    rr.type = dns::RRType::kA;
-    rr.ttl = 300;
-    rr.rdata = dns::ARdata::from_text("10.0.0." + std::to_string(i + 1)).encode();
-    update.updates().push_back(rr);
-    svc.client().send_update(std::move(update), [&](Client::Result r) {
-      ++done;
-      if (r.ok) ++ok;
-    });
-  }
-  while (done < kOps && svc.sim().step()) {
-  }
-  EXPECT_EQ(ok, kOps);
+  std::vector<dns::Message> updates;
+  for (unsigned i = 0; i < kOps; ++i) updates.push_back(add_update({"h" + std::to_string(i)}));
+  EXPECT_EQ(send_concurrently(svc, std::move(updates)), kOps);
   svc.settle();
 
   // Every update landed on every replica, and the copies stayed identical.
@@ -250,25 +267,9 @@ TEST(Service, UpdateBatchCountersCoverSingleAndBatchedPayloads) {
   expect_counters(1, 1);
 
   constexpr unsigned kOps = 6;
-  unsigned done = 0;
-  for (unsigned i = 0; i < kOps; ++i) {
-    dns::Message update;
-    update.opcode = dns::Opcode::kUpdate;
-    update.questions.push_back({kOrigin, dns::RRType::kSOA, dns::RRClass::kIN});
-    dns::ResourceRecord rr;
-    rr.name = Name::parse("b" + std::to_string(i) + ".corp.example.");
-    rr.type = dns::RRType::kA;
-    rr.ttl = 300;
-    rr.rdata = dns::ARdata::from_text("10.0.1." + std::to_string(i + 1)).encode();
-    update.updates().push_back(rr);
-    svc.client().send_update(std::move(update), [&](Client::Result r) {
-      ++done;
-      EXPECT_TRUE(r.ok);
-    });
-  }
-  while (done < kOps && svc.sim().step()) {
-  }
-  ASSERT_EQ(done, kOps);
+  std::vector<dns::Message> updates;
+  for (unsigned i = 0; i < kOps; ++i) updates.push_back(add_update({"b" + std::to_string(i)}));
+  ASSERT_EQ(send_concurrently(svc, std::move(updates)), kOps);
   svc.settle();
   const std::uint64_t batches =
       svc.replica(0).metrics().counter_value("replica.update_batches");
@@ -451,6 +452,123 @@ TEST(Service, SignaturesAreUniqueAcrossReplicas) {
         Name::parse("uniq.corp.example."), RRType::kSIG);
     ASSERT_NE(other, nullptr) << i;
     EXPECT_EQ(other->rdatas, ref->rdatas) << i;
+  }
+}
+
+TEST(Service, UpdateWithMoreThan256SigTasksKeepsSessionIdsApart) {
+  // An add of N new names needs about 2N+2 SIG tasks (N RRsets, N new NXTs,
+  // the predecessor NXT, the SOA). With an 8-bit task index in the session
+  // id, tasks 256+ of a 130-name add reused the next update's ids.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  opt.client_timeout = 1000;  // ~260 sequential signing rounds
+  auto svc = make_service(opt);
+  std::vector<std::string> hosts;
+  for (int i = 0; i < 130; ++i) hosts.push_back("bulk" + std::to_string(i));
+  ASSERT_TRUE(svc.send_update(add_update(hosts)).ok);
+  ASSERT_TRUE(svc.add_record(Name::parse("after.corp.example."), "10.0.0.9").ok);
+  svc.settle();
+  EXPECT_GT(svc.replica(0).signatures_computed(), 256u);
+  const std::string reference = svc.replica(0).server().zone().to_text();
+  for (unsigned i = 0; i < svc.n(); ++i) {
+    const auto& zone = svc.replica(i).server().zone();
+    auto verify = dns::verify_zone(zone);
+    EXPECT_TRUE(verify.ok) << "replica " << i << ": " << verify.first_error;
+    EXPECT_EQ(zone.to_text(), reference) << "replica " << i;
+    EXPECT_NE(zone.find(Name::parse("bulk129.corp.example."), RRType::kA), nullptr);
+    EXPECT_NE(zone.find(Name::parse("after.corp.example."), RRType::kA), nullptr);
+    const auto& m = svc.replica(i).metrics();
+    EXPECT_EQ(m.counter_value("threshold.share.verify_fail"), 0u) << "replica " << i;
+    EXPECT_EQ(m.counter_value("threshold.optimistic.miss"), 0u) << "replica " << i;
+  }
+  std::set<std::uint64_t> ids;
+  for (std::uint64_t update = 1; update <= 2; ++update) {
+    for (std::size_t index = 0; index < 300; ++index) {
+      ids.insert(ReplicaNode::session_id(update, index));
+    }
+  }
+  EXPECT_EQ(ids.size(), 600u);
+}
+
+TEST(Service, LoneUpdateAndBatchEachCommitOnce) {
+  // Every update runs as a batch: the zone generation is bumped (at the
+  // batch's first change) and zone_committed fires (once its SIGs are
+  // installed) once per executed batch — a lone add (apply plus four SIGs)
+  // included — never per mutation or per installed signature. While the
+  // batch signs, answers carry no cache stamp.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  std::vector<std::vector<std::uint64_t>> commits(4);
+  opt.zone_committed = [&commits](unsigned replica, std::uint64_t gen) {
+    commits.at(replica).push_back(gen);
+  };
+  auto svc = make_service(opt);
+  std::vector<std::uint64_t> base;
+  for (unsigned i = 0; i < svc.n(); ++i) base.push_back(svc.replica(i).zone_generation_value());
+
+  bool done = false, stamp_withheld = false;
+  svc.client().send_update(add_update({"solo"}), [&](Client::Result r) {
+    EXPECT_TRUE(r.ok);
+    done = true;
+  });
+  while (!done && svc.sim().step()) {
+    stamp_withheld |= !svc.replica(1).cache_generation().has_value();
+  }
+  ASSERT_TRUE(done);
+  svc.settle();
+  EXPECT_TRUE(stamp_withheld);
+  for (unsigned i = 0; i < svc.n(); ++i) {
+    EXPECT_EQ(svc.replica(i).zone_generation_value(), base[i] + 1) << "replica " << i;
+    EXPECT_EQ(svc.replica(i).cache_generation(), base[i] + 1) << "replica " << i;
+    EXPECT_EQ(commits[i], std::vector<std::uint64_t>{base[i] + 1}) << "replica " << i;
+  }
+
+  std::vector<dns::Message> updates;
+  for (int i = 0; i < 6; ++i) updates.push_back(add_update({"b" + std::to_string(i)}));
+  ASSERT_EQ(send_concurrently(svc, std::move(updates)), 6u);
+  svc.settle();
+  for (unsigned i = 0; i < svc.n(); ++i) {
+    const std::uint64_t batches =
+        svc.replica(i).metrics().counter_value("replica.update_batches");
+    EXPECT_LT(batches, 1u + 6u) << "replica " << i;  // at least one true batch
+    EXPECT_EQ(svc.replica(i).zone_generation_value(), base[i] + batches) << "replica " << i;
+    EXPECT_EQ(commits[i].size(), batches) << "replica " << i;
+    EXPECT_EQ(commits[i].back(), base[i] + batches) << "replica " << i;
+  }
+}
+
+TEST(Service, ForgedFutureSigningSessionsStayBounded) {
+  // A Byzantine peer can name any session id. Shares for sessions a replica
+  // has not reached are buffered only within fixed bounds — pre-fix every
+  // distinct future sid got its own entry — and an honest update still
+  // completes afterwards.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  auto svc = make_service(opt);
+  ReplicaNode& target = svc.replica(2);
+  constexpr std::uint8_t kSigningFrame = 0x02;  // replica-to-replica frame tag
+  const auto forged = [&](std::uint64_t sid) {
+    util::Bytes msg{kSigningFrame};
+    const util::Bytes body = threshold::SigningSession::encode_final(sid, bn::BigInt(12345));
+    msg.insert(msg.end(), body.begin(), body.end());
+    target.on_replica_message(0, msg);
+  };
+  // Distinct sids over the next 400 updates (past the retain window, too).
+  for (std::uint64_t k = 0; k < 100000; ++k) forged(ReplicaNode::session_id(1 + k % 400, k / 400));
+  EXPECT_LE(target.buffered_signing_messages(), ReplicaNode::kMaxBufferedSessions);
+  // One session's messages are capped as well: here the next update's first.
+  for (int k = 0; k < 1000; ++k) forged(ReplicaNode::session_id(1, 0));
+  EXPECT_LE(target.buffered_signing_messages(),
+            ReplicaNode::kMaxBufferedSessions + ReplicaNode::kBufferedPerPeer * svc.n());
+
+  ASSERT_TRUE(svc.add_record(Name::parse("honest.corp.example."), "10.0.0.7").ok);
+  svc.settle();
+  for (unsigned i = 0; i < svc.n(); ++i) {
+    const auto& zone = svc.replica(i).server().zone();
+    auto verify = dns::verify_zone(zone);
+    EXPECT_TRUE(verify.ok) << "replica " << i << ": " << verify.first_error;
+    EXPECT_NE(zone.find(Name::parse("honest.corp.example."), RRType::kA), nullptr)
+        << "replica " << i;
   }
 }
 

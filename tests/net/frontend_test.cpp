@@ -699,6 +699,53 @@ TEST_F(FrontendTest, UnansweredPendingEntriesAgeOut) {
   EXPECT_EQ(frontend_->pending_entries(), 0u);
 }
 
+TEST_F(FrontendTest, UnansweredRequestsDoNotStopLatencySampling) {
+  // Requests nobody answers (replica-dropped, duplicate update retries)
+  // leave their arrival times behind. Those must age out with the pending
+  // entry — pre-fix they filled a separate 8192-entry map for good, and
+  // net.query.latency_us never took another sample.
+  obs::Registry reg;
+  DnsFrontend::Options opt;
+  opt.metrics = &reg;
+  opt.idle_timeout = 0.2;  // sweep period is idle_timeout / 4
+  opt.pending_timeout = 0.1;
+  std::atomic<int> seen{0};
+  start_custom(opt, [this, &seen](ClientId client, util::BytesView wire) {
+    ++seen;
+    const dns::Message query = dns::Message::decode(wire);
+    if (query.questions.at(0).name.to_string() == "answered.example.com.") {
+      frontend_->respond(client, response_echoing_name(query),
+                         gen_.load(std::memory_order_relaxed));
+    }
+  });
+  constexpr int kUnanswered = 8300;
+  run_with_client([&] {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    set_timeouts(fd);
+    const sockaddr_in sa = addr_.to_sockaddr();
+    for (int i = 0; i < kUnanswered; ++i) {
+      const Bytes q = query_wire(static_cast<std::uint16_t>(i), 0, "dropped.example.com.");
+      ASSERT_GT(::sendto(fd, q.data(), q.size(), 0,
+                         reinterpret_cast<const sockaddr*>(&sa), sizeof sa),
+                0);
+      // Pace the burst so the socket's receive buffer never overflows.
+      for (int waited = 0; i + 1 - seen.load() > 64 && waited < 5000; ++waited) {
+        ::usleep(200);
+      }
+    }
+    for (int waited = 0; seen.load() < kUnanswered && waited < 5000; ++waited) {
+      ::usleep(1000);
+    }
+    ::usleep(300 * 1000);  // several sweeps past pending_timeout
+    const Bytes r =
+        udp_roundtrip(fd, query_wire(0x7777, 0, "answered.example.com."));
+    EXPECT_FALSE(r.empty());
+    ::close(fd);
+  });
+  EXPECT_EQ(seen.load(), kUnanswered + 1);
+  EXPECT_EQ(reg.histogram("net.query.latency_us").count(), 1u);
+}
+
 TEST_F(FrontendTest, TcpQueryWithSplitLengthPrefix) {
   start({});
   run_with_client([&] {
