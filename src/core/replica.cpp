@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "store/durable.hpp"
 #include "util/log.hpp"
@@ -148,6 +149,7 @@ ReplicaNode::ReplicaNode(ReplicaConfig config,
   c_recoveries_ = &metrics_->counter("replica.recoveries");
   c_recovery_standdowns_ = &metrics_->counter("replica.recovery_standdowns");
   c_update_batches_ = &metrics_->counter("replica.update_batches");
+  c_held_dropped_ = &metrics_->counter("replica.held_dropped");
   h_update_batch_size_ = &metrics_->histogram("replica.update_batch_size");
   metrics_->gauge("replica.zone_gen")
       .set(static_cast<std::int64_t>(zone_generation_value()));
@@ -220,12 +222,13 @@ void ReplicaNode::on_client_request(ClientId client, BytesView wire) {
     execute(encode_payload(client, wire));
     return;
   }
-  // Reads can bypass atomic broadcast when configured (§3.4 last paragraph).
+  // Reads can bypass atomic broadcast when configured (§3.4 last paragraph);
+  // one that arrives while a batch signs is answered at its commit point.
   if (!config_.disseminate_reads) {
     try {
       dns::Message request = dns::Message::decode(wire);
       if (request.opcode == dns::Opcode::kQuery) {
-        run_query(client, request);
+        at_commit([this, client, request = std::move(request)] { run_query(client, request); });
         return;
       }
     } catch (const util::ParseError&) {
@@ -460,19 +463,6 @@ void ReplicaNode::try_finish_recovery() {
   }
   const std::uint64_t cursor = best->abcast_cursor;
   if (!install_state(*best)) return;
-  // Whatever was mid-execution was computed against the pre-snapshot state;
-  // the snapshot already contains those operations' effects. Drop the
-  // execution pipeline and any in-flight signing work.
-  exec_queue_.clear();
-  executing_ = false;
-  current_batch_.reset();
-  // fast_forward may have skipped the delivery that would have cleared the
-  // in-flight flag; leave it set and queued updates would wait forever.
-  batch_in_flight_ = false;
-  in_flight_digest_.reset();
-  signing_.reset();
-  ++signing_timer_gen_;
-  pending_signing_.clear();
   recovering_ = false;
   recovery_candidates_.clear();
   recovery_current_acks_.clear();
@@ -551,11 +541,27 @@ bool ReplicaNode::install_state(const store::ZoneState& state) {
       return false;
     }
   }
-  bump_zone_generation();
-  notify_zone_committed();
+  // Whatever was mid-execution was computed against the previous state;
+  // the installed one already contains those operations' effects. Drop the
+  // execution pipeline and any in-flight signing work.
+  exec_queue_.clear();
+  executing_ = false;
+  current_batch_.reset();
+  // fast_forward may skip the delivery that would have cleared the in-flight
+  // flag; leave it set and queued updates would wait forever.
+  batch_in_flight_ = false;
+  in_flight_digest_.reset();
+  signing_.reset();
+  ++signing_timer_gen_;
+  pending_signing_.clear();
   deliveries_ = state.deliveries;
   update_counter_ = state.update_counter;
   abcast_->fast_forward(state.abcast_cursor);
+  // A commit point: the reads and transfers an abandoned batch held are
+  // answered from the installed zone.
+  bump_zone_generation();
+  notify_zone_committed();
+  release_held();
   return true;
 }
 
@@ -603,9 +609,10 @@ void ReplicaNode::install_zone_share(
   zone_key_ = std::move(pub);
   zone_share_ = std::move(share);
   // Served records don't change, but signatures produced from here on come
-  // from the refreshed share; treat it as a new signature generation.
+  // from the refreshed share; treat it as a new signature generation. A
+  // batch that is signing commits (and notifies) at its own end.
   bump_zone_generation();
-  notify_zone_committed();
+  if (!current_batch_) notify_zone_committed();
 }
 
 void ReplicaNode::execute_next() {
@@ -679,9 +686,11 @@ void ReplicaNode::continue_batch() {
   while (batch.next < batch.entries.size()) {
     const auto& [client, request] = batch.entries[batch.next];
     if (request.opcode != dns::Opcode::kUpdate) {
-      // A batch payload should only carry updates; execute anything else
-      // deterministically anyway (a corrupt gateway controls the content).
-      run_query(client, request);
+      // A batch payload carries only updates; only a corrupt gateway builds
+      // one with anything else. Every replica refuses it alike, rather than
+      // answer from a zone the batch is changing.
+      batch.responses.emplace_back(
+          client, dns::AuthoritativeServer::update_response(request, dns::Rcode::kRefused));
     } else if (!run_update(client, request)) {
       return;  // suspended
     }
@@ -691,6 +700,8 @@ void ReplicaNode::continue_batch() {
 }
 
 void ReplicaNode::finish_batch() {
+  // The batch's commit point: its responses, one NOTIFY round and what it
+  // held all go out before execute_next() applies the next batch.
   UpdateBatch batch = std::move(*current_batch_);
   current_batch_.reset();
   if (batch.dirty) notify_zone_committed();
@@ -699,7 +710,10 @@ void ReplicaNode::finish_batch() {
   for (const auto& [client, response] : batch.responses) {
     respond(client, response);
   }
+  // Held reads are not replayed operations: with executing_ clear, boot
+  // replay's response suppression leaves them alone.
   executing_ = false;
+  release_held();
   execute_next();
 }
 
@@ -719,8 +733,8 @@ bool ReplicaNode::run_update(ClientId client, const dns::Message& request) {
   dns::UpdateResult result = server_.apply_update(request, inception);
   UpdateBatch& batch = *current_batch_;
   // One generation bump per batch, at its first change: every cache entry
-  // from before the batch is flushed before any replica can acknowledge
-  // it, and cache_generation() keeps the answers given mid-batch uncached.
+  // from before the batch is flushed before any replica can acknowledge it
+  // or answer from it (at_commit holds reads until the batch ends).
   if (result.rcode == dns::Rcode::kNoError && !batch.dirty) {
     batch.dirty = true;
     bump_zone_generation();
@@ -872,11 +886,15 @@ void ReplicaNode::notify_zone_committed() {
   if (cb_.zone_committed) cb_.zone_committed(zone_generation_value());
 }
 
+void ReplicaNode::release_held() {
+  for (const auto& fn : std::exchange(held_, {})) fn();
+}
+
 void ReplicaNode::respond(ClientId client, const dns::Message& response) {
   // Boot replay after a disk-first restore: these operations' clients were
   // answered before the crash; re-executing must not answer again. Direct
-  // reads arrive outside the execution pipeline (executing_ == false) and
-  // are served normally throughout.
+  // reads run outside the execution pipeline (executing_ == false, also
+  // when released at a commit point) and are served normally throughout.
   if (executing_ && deliveries_ <= suppress_responses_below_) return;
   if (!cb_.send_client || corruption_ == CorruptionMode::kMute) return;
   Bytes wire = response.encode();

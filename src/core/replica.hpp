@@ -182,7 +182,7 @@ class ReplicaNode {
 
   /// Zone-generation counter: bumped (release) on the replica thread once
   /// per update batch that changes the zone — at its first change, before
-  /// any answer or acknowledgment can reflect it — and at a recovery
+  /// its commit point lets any answer reflect it — and at a recovery
   /// reinstall or share refresh. Frontend shards read it (acquire) to
   /// lazily invalidate packet-cache entries; it never decreases. Starts at
   /// 1 so generation 0 can mean "no replica attached" in frontend unit tests.
@@ -192,21 +192,32 @@ class ReplicaNode {
   std::uint64_t zone_generation_value() const {
     return zone_generation_.load(std::memory_order_acquire);
   }
-  /// The generation an answer sent now may be cached under; none while an
-  /// update batch that changed the zone is still signing, since its answers
-  /// may lack SIGs the batch has yet to install.
-  std::optional<std::uint64_t> cache_generation() const {
-    if (current_batch_ && current_batch_->dirty) return std::nullopt;
-    return zone_generation_value();
+
+  /// Runs `fn` — anything that reads the zone for someone outside: a direct
+  /// read, an AXFR/IXFR — now when no update batch is signing, else at that
+  /// batch's commit point, right after its last SIG is installed and before
+  /// the next batch applies. So nothing leaves with a record whose SIG is
+  /// still being made. At most kMaxHeld wait; the rest are dropped and
+  /// counted (replica.held_dropped), and their clients retry.
+  template <class Fn>
+  void at_commit(Fn&& fn) {
+    if (!current_batch_) {
+      fn();
+    } else if (held_.size() < kMaxHeld) {
+      held_.emplace_back(std::forward<Fn>(fn));
+    } else {
+      c_held_dropped_->inc();
+    }
   }
+  static constexpr std::size_t kMaxHeld = 1024;
 
  private:
   /// A delivered update payload mid-execution; every update runs in one (a
   /// lone update as a batch of one). Entries run strictly in order, and the
   /// entry being signed keeps its SIG tasks here. The zone generation is
-  /// bumped at the batch's first change; every update response and the
-  /// commit notification wait for finish_batch(), so no client sees a
-  /// NOERROR before its signatures are installed.
+  /// bumped at the batch's first change; every update response, the commit
+  /// notification and the held reads and transfers wait for finish_batch(),
+  /// so nothing leaves before the batch's signatures are installed.
   struct UpdateBatch {
     std::vector<std::pair<ClientId, dns::Message>> entries;
     std::size_t next = 0;
@@ -244,6 +255,8 @@ class ReplicaNode {
   void respond(ClientId client, const dns::Message& response);
   void bump_zone_generation();
   void notify_zone_committed();
+  /// Runs what at_commit() held, at a commit point.
+  void release_held();
   void charge(threshold::CostEvent e) {
     if (cb_.charge) cb_.charge(e);
   }
@@ -273,6 +286,8 @@ class ReplicaNode {
   std::optional<abcast::Digest> in_flight_digest_;
   // Execution-side state for a delivered update payload.
   std::optional<UpdateBatch> current_batch_;
+  /// Reads and transfers waiting for current_batch_'s commit point.
+  std::vector<std::function<void()>> held_;
   /// The session of the SIG task being signed; null between tasks. A
   /// finished session is replaced only after its on_message() returns.
   std::unique_ptr<threshold::SigningSession> signing_;
@@ -306,6 +321,7 @@ class ReplicaNode {
   obs::Counter* c_recoveries_;
   obs::Counter* c_recovery_standdowns_;
   obs::Counter* c_update_batches_;
+  obs::Counter* c_held_dropped_;
   obs::Histogram* h_update_batch_size_;
 
   /// The durable (or no-op) store behind Callbacks::store.

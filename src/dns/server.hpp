@@ -74,9 +74,9 @@ class AuthoritativeServer {
   /// otherwise falls back to an AXFR-format response (`used_axfr` reports
   /// which format went out). Validation failures (wrong opcode, non-apex
   /// qname, non-XFR qtype) come back as a single error-rcode message. Both
-  /// formats serve the committed zone: between apply_update and
-  /// finalize_journal they carry the zone and serial as they were before the
-  /// update (Zone::find_committed), so no client receives half-signed data.
+  /// formats read the zone as it stands, so a caller serves them only at a
+  /// commit point — never between apply_update and the last SIG of the
+  /// update batch (a replica holds them until then, ReplicaNode::at_commit).
   std::vector<Message> answer_xfr(const Message& query, std::size_t max_wire,
                                   bool* used_axfr = nullptr) const;
 

@@ -241,39 +241,6 @@ void Zone::rollback(PreImages pre) {
   }
 }
 
-const RRset* Zone::find_committed(const Name& name, RRType type) const {
-  if (capture_) {
-    if (auto ct = capture_->find(name); ct != capture_->end()) {
-      if (!ct->second) return nullptr;
-      auto jt = ct->second->find(type);
-      return jt == ct->second->end() ? nullptr : &jt->second;
-    }
-  }
-  return find(name, type);
-}
-
-void Zone::for_each_committed_rrset(const std::function<void(const RRset&)>& fn) const {
-  if (!capture_) return for_each_rrset(fn);
-  const auto emit = [&](const TypeMap& types) {
-    for (const auto& [type, rrset] : types) fn(rrset);
-  };
-  // Merge the live owners with the captured ones in canonical order; a
-  // captured owner replaces the live one (or stands for one since erased).
-  auto it = data_.begin();
-  auto ct = capture_->begin();
-  while (it != data_.end() || ct != capture_->end()) {
-    if (ct == capture_->end() ||
-        (it != data_.end() && data_.key_comp()(it->first, ct->first))) {
-      emit(it->second);
-      ++it;
-      continue;
-    }
-    if (ct->second) emit(*ct->second);
-    if (it != data_.end() && !data_.key_comp()(ct->first, it->first)) ++it;
-    ++ct;
-  }
-}
-
 const Name* Zone::cyclic_predecessor(const Name& name) const {
   if (data_.empty()) return nullptr;
   auto it = data_.lower_bound(name);

@@ -101,13 +101,6 @@ class Zone {
   /// ends as it was, to_wire() byte for byte.
   void rollback(PreImages pre);
 
-  /// Reads of the zone as the open capture found it: the pre-image at every
-  /// owner the capture touched, the live data elsewhere. Without an open
-  /// capture they read the zone itself. Transfers serve these, so a client
-  /// never receives an update whose signatures are still being made.
-  const RRset* find_committed(const Name& name, RRType type) const;
-  void for_each_committed_rrset(const std::function<void(const RRset&)>& fn) const;
-
   /// The existing owner canonically just before / just after `name`,
   /// wrapping around the end of the zone the way the NXT chain does (so the
   /// apex follows the last name). `name` itself need not exist; a lone owner

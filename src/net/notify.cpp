@@ -11,9 +11,8 @@ namespace sdns::net {
 
 using util::Bytes;
 
-Notifier::Notifier(EventLoop& loop, Options options,
-                   std::function<std::optional<dns::ResourceRecord>()> current_soa)
-    : loop_(loop), opt_(std::move(options)), current_soa_(std::move(current_soa)) {
+Notifier::Notifier(EventLoop& loop, Options options)
+    : loop_(loop), opt_(std::move(options)) {
   auto ctr = [this](const std::string& name) {
     return opt_.metrics ? &opt_.metrics->counter(name) : &obs::noop_counter();
   };
@@ -24,7 +23,6 @@ Notifier::Notifier(EventLoop& loop, Options options,
 }
 
 Notifier::~Notifier() {
-  if (debounce_timer_) loop_.cancel_timer(debounce_timer_);
   for (auto& p : pending_) {
     if (p.timer) loop_.cancel_timer(p.timer);
   }
@@ -37,27 +35,9 @@ void Notifier::start() {
   loop_.add_fd(fd_, EventLoop::kReadable, [this](std::uint32_t) { on_readable(); });
 }
 
-void Notifier::on_commit() {
+void Notifier::on_commit(const dns::ResourceRecord& soa) {
   if (opt_.edges.empty()) return;
-  dirty_ = true;
-  if (debounce_timer_) return;  // a round is already scheduled
-  // The first commit after a quiet spell goes out at once; commits that
-  // follow within `debounce` of a round share the next one.
-  const double wait = last_round_ + opt_.debounce - loop_.now();
-  if (wait <= 0) {
-    fire_round();
-    return;
-  }
-  debounce_timer_ = loop_.add_timer(wait, [this] {
-    debounce_timer_ = 0;
-    fire_round();
-  });
-}
-
-void Notifier::fire_round() {
-  if (!dirty_) return;
-  dirty_ = false;
-  last_round_ = loop_.now();
+  soa_ = soa;
   ++round_;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     Pending& p = pending_[i];
@@ -77,29 +57,19 @@ void Notifier::fire_round() {
 void Notifier::send_one(std::size_t idx) {
   Pending& p = pending_[idx];
   if (p.acked || p.round != round_) return;
-  if (p.attempts >= opt_.max_attempts) {
+  if (p.attempts >= kMaxAttempts) {
     c_timeouts_->inc();
     return;
   }
   ++p.attempts;
-  // A fresh SOA per (re)send: commits during the retry window mean the hint
-  // should advertise the serial the edge will actually fetch.
-  dns::ResourceRecord soa_rr;
-  const dns::ResourceRecord* soa_ptr = nullptr;
-  if (current_soa_) {
-    if (auto soa = current_soa_()) {
-      soa_rr = std::move(*soa);
-      soa_ptr = &soa_rr;
-    }
-  }
-  const Bytes wire = dns::make_notify(p.id, opt_.zone, soa_ptr).encode();
+  const Bytes wire = dns::make_notify(p.id, opt_.zone, &soa_).encode();
   const sockaddr_in sa = opt_.edges[idx].to_sockaddr();
   if (retry_sendto(fd_, wire.data(), wire.size(), 0,
                    reinterpret_cast<const sockaddr*>(&sa), sizeof sa) >= 0) {
     c_sent_->inc();
   }
   const double delay =
-      opt_.retry_timeout * static_cast<double>(1u << std::min(p.attempts - 1, 6u));
+      kRetryTimeout * static_cast<double>(1u << std::min(p.attempts - 1, 6u));
   const std::uint64_t round = p.round;
   p.timer = loop_.add_timer(delay, [this, idx, round] {
     Pending& q = pending_[idx];

@@ -200,17 +200,21 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
   cb.send_replica = [this](unsigned to, const Bytes& m) { mesh_->send(to, m); };
   cb.send_client = [this](core::ClientId client, const Bytes& m) {
     // Captured on the replica thread — the sole zone mutator — so the stamp
-    // can never be newer than the zone state this answer reflects; none
-    // while an update batch is signing. The pending-store gate in the
-    // frontend decides whether it is cached.
-    frontends_->respond(client, m, replica_->cache_generation());
+    // can never be newer than the zone state this answer reflects. Answers
+    // leave only at commit points, so every stamp names committed state.
+    // The pending-store gate in the frontend decides whether it is cached.
+    frontends_->respond(client, m, replica_->zone_generation_value());
   };
   cb.now = [this] { return loop_.now(); };
   // Every commit point (signed update batch, recovery install, share
-  // refresh) schedules a NOTIFY round. Null-checked because the replica is
-  // constructed — and may bump during disk restore — before the notifier.
+  // refresh) sends a NOTIFY round carrying the SOA it committed.
+  // Null-checked because the replica is constructed — and may commit during
+  // disk restore — before the notifier.
   cb.zone_committed = [this](std::uint64_t) {
-    if (notifier_) notifier_->on_commit();
+    if (!notifier_) return;
+    const dns::Zone& zone = replica_->server().zone();
+    const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::kSOA);
+    if (soa && !soa->rdatas.empty()) notifier_->on_commit(soa->to_records().front());
   };
   cb.set_timer = [this](double delay, std::function<void()> fn) {
     loop_.add_timer(delay, std::move(fn));
@@ -262,13 +266,7 @@ ReplicaRuntime::ReplicaRuntime(EventLoop& loop, RuntimeConfig config)
     nopt.edges = cfg_.notify_edges;
     nopt.zone = replica_->server().zone().origin();
     nopt.metrics = &registry_;
-    notifier_ = std::make_unique<Notifier>(
-        loop_, std::move(nopt), [this]() -> std::optional<dns::ResourceRecord> {
-          const dns::Zone& zone = replica_->server().zone();
-          const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::kSOA);
-          if (!soa || soa->rdatas.empty()) return std::nullopt;
-          return soa->to_records().front();
-        });
+    notifier_ = std::make_unique<Notifier>(loop_, std::move(nopt));
   }
 }
 
@@ -299,15 +297,17 @@ void ReplicaRuntime::handle_request(ClientId client, BytesView wire) {
       return;
     }
     if (!request.qr && (q.type == dns::RRType::kAXFR || q.type == dns::RRType::kIXFR)) {
-      bool used_axfr = false;
-      if (frontends_->answer_xfr(client, request, &replica_->server(), &used_axfr)) {
-        if (q.type == dns::RRType::kAXFR) {
+      // Streamed from the zone as the last commit point left it.
+      replica_->at_commit([this, client, request] {
+        bool used_axfr = false;
+        if (!frontends_->answer_xfr(client, request, &replica_->server(), &used_axfr)) return;
+        if (request.questions.front().type == dns::RRType::kAXFR) {
           registry_.counter("replica.axfr_out").inc();
         } else {
           registry_.counter("replica.ixfr_out").inc();
           if (used_axfr) registry_.counter("replica.ixfr_fallback_axfr").inc();
         }
-      }
+      });
       return;
     }
   }

@@ -129,9 +129,9 @@ class ReplicaRuntime {
   void refresh_gauges();
   /// Runs on the main loop. CHAOS-class queries (`stats.sdns.`, and the
   /// `recover.sdns.` recovery nudge) and AXFR/IXFR are answered locally,
-  /// bypassing atomic broadcast — a transfer reads the committed zone plus
-  /// journal, both of which only the main loop mutates. Everything else
-  /// feeds the replica. `wire` stays valid for the duration of the call only.
+  /// bypassing atomic broadcast — a transfer reads the zone plus journal at
+  /// a commit point (ReplicaNode::at_commit). Everything else feeds the
+  /// replica. `wire` stays valid for the duration of the call only.
   void handle_request(ClientId client, util::BytesView wire);
 
   EventLoop& loop_;

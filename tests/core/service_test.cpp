@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "dns/dnssec.hpp"
+#include "dns/xfr.hpp"
 
 namespace sdns::core {
 namespace {
@@ -495,9 +497,10 @@ TEST(Service, LoneUpdateAndBatchEachCommitOnce) {
   // batch's first change) and zone_committed fires (once its SIGs are
   // installed) once per executed batch — a lone add (apply plus four SIGs)
   // included — never per mutation or per installed signature. While the
-  // batch signs, answers carry no cache stamp.
+  // batch signs, no answer leaves: reads wait for its commit point.
   ServiceOptions opt;
   opt.topology = sim::Topology::kLan4;
+  opt.disseminate_reads = false;
   std::vector<std::vector<std::uint64_t>> commits(4);
   opt.zone_committed = [&commits](unsigned replica, std::uint64_t gen) {
     commits.at(replica).push_back(gen);
@@ -506,20 +509,34 @@ TEST(Service, LoneUpdateAndBatchEachCommitOnce) {
   std::vector<std::uint64_t> base;
   for (unsigned i = 0; i < svc.n(); ++i) base.push_back(svc.replica(i).zone_generation_value());
 
-  bool done = false, stamp_withheld = false;
+  ReplicaNode& gateway = svc.replica(1);
+  const std::uint64_t sigs0 = gateway.signatures_computed();
+  const auto reads = [&] { return gateway.metrics().counter_value("replica.reads"); };
+  const std::uint64_t reads0 = reads();
+  const util::Bytes read =
+      dns::Message::make_query(0xF000, Name::parse("www.corp.example."), RRType::kA).encode();
+  bool done = false;
+  unsigned held = 0;
   svc.client().send_update(add_update({"solo"}), [&](Client::Result r) {
     EXPECT_TRUE(r.ok);
     done = true;
   });
+  bool early = false;
   while (!done && svc.sim().step()) {
-    stamp_withheld |= !svc.replica(1).cache_generation().has_value();
+    const std::uint64_t installed = gateway.signatures_computed() - sigs0;
+    if (installed == 0 || installed >= 4) continue;
+    // Mid-batch: the zone holds the add, not yet all of its SIGs.
+    gateway.on_client_request(svc.n(), read);
+    ++held;
+    early |= reads() != reads0;
   }
   ASSERT_TRUE(done);
   svc.settle();
-  EXPECT_TRUE(stamp_withheld);
+  EXPECT_GT(held, 0u);
+  EXPECT_FALSE(early) << "a read was answered mid-batch";
+  EXPECT_EQ(reads(), reads0 + held) << "a held read was never answered";
   for (unsigned i = 0; i < svc.n(); ++i) {
     EXPECT_EQ(svc.replica(i).zone_generation_value(), base[i] + 1) << "replica " << i;
-    EXPECT_EQ(svc.replica(i).cache_generation(), base[i] + 1) << "replica " << i;
     EXPECT_EQ(commits[i], std::vector<std::uint64_t>{base[i] + 1}) << "replica " << i;
   }
 
@@ -535,6 +552,150 @@ TEST(Service, LoneUpdateAndBatchEachCommitOnce) {
     EXPECT_EQ(commits[i].size(), batches) << "replica " << i;
     EXPECT_EQ(commits[i].back(), base[i] + batches) << "replica " << i;
   }
+}
+
+TEST(Service, ReadsAndTransfersDuringSigningWaitForTheCommitPoint) {
+  // A direct read or a transfer that reaches a replica while an update batch
+  // signs is answered at the batch's commit point, right after its last SIG
+  // is installed, from the zone it committed. Answered at once, the reads
+  // would carry the new NXT and SOA without their SIGs.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  opt.disseminate_reads = false;
+  auto svc = make_service(opt);
+  ReplicaNode& replica = svc.replica(1);
+  const sim::NodeId client_node = svc.n();
+  const dns::Zone committed = replica.server().zone();
+  const dns::SoaRdata old_soa = *committed.soa();
+
+  // Replica 1's answers to the requests sent below (ids from 0xF000); the
+  // client's own traffic passes through.
+  std::map<std::uint16_t, dns::Message> answers;
+  svc.net().set_handler(client_node, [&](sim::NodeId from, util::Bytes msg) {
+    dns::Message m = dns::Message::decode(msg);
+    if (from == 1 && m.id >= 0xF000) {
+      answers.emplace(m.id, std::move(m));
+      return;
+    }
+    svc.client().on_response(static_cast<unsigned>(from), msg);
+  });
+  std::uint16_t next_id = 0xF000;
+  const auto ask = [&](dns::Message q) {
+    q.id = next_id++;
+    replica.on_client_request(client_node, q.encode());
+  };
+  const auto query = [](const char* name, RRType type) {
+    return dns::Message::make_query(0, Name::parse(name), type);
+  };
+
+  // "new" lands between "mail" and "ns1": the NXT at both changes.
+  bool done = false;
+  svc.client().send_update(add_update({"new"}), [&](Client::Result r) {
+    EXPECT_TRUE(r.ok);
+    done = true;
+  });
+  const std::uint64_t sigs0 = replica.signatures_computed();
+  while (replica.signatures_computed() == sigs0 && svc.sim().step()) {
+  }
+  ASSERT_LT(replica.signatures_computed(), sigs0 + 4) << "the add was not caught mid-batch";
+  ASSERT_NE(replica.server().zone().to_wire(), committed.to_wire());
+
+  const auto reads = [&] { return replica.metrics().counter_value("replica.reads"); };
+  const std::uint64_t reads0 = reads();
+  ask(query("new.corp.example.", RRType::kA));        // 0xF000 positive
+  ask(query("mz.corp.example.", RRType::kA));         // 0xF001 NXT at "mail"
+  ask(query("nf.corp.example.", RRType::kA));         // 0xF002 NXT at "new"
+  ask(query("corp.example.", RRType::kAXFR));         // 0xF003 whole AXFR
+  ask(dns::make_ixfr_query(0, kOrigin, old_soa));     // 0xF004 IXFR, old serial
+  std::vector<dns::Message> chunked;                  // the runtime's AXFR path
+  replica.at_commit([&] {
+    chunked = replica.server().answer_xfr(query("corp.example.", RRType::kAXFR), 600);
+  });
+  bool early = false;
+  while (svc.sim().step() && replica.signatures_computed() < sigs0 + 4) {
+    early |= reads() != reads0 || !chunked.empty();
+  }
+  EXPECT_FALSE(early) << "answered before the batch's last SIG";
+  // The step that installed the last SIG also released everything held.
+  EXPECT_EQ(reads(), reads0 + 5);
+  EXPECT_GT(chunked.size(), 1u);
+  while (!done && svc.sim().step()) {
+  }
+  ASSERT_TRUE(done);
+  svc.settle();
+  const dns::Zone& zone = replica.server().zone();
+  const dns::SoaRdata new_soa = *zone.soa();
+  EXPECT_EQ(new_soa.serial, old_soa.serial + 1);
+
+  ASSERT_EQ(answers.size(), 5u);
+  for (const auto& [id, m] : answers) {
+    if (id > 0xF002) continue;
+    EXPECT_TRUE(Client::response_acceptable(m, svc.zone_public_key()))
+        << "answer " << id << " carries an RRset its SIGs do not cover";
+    EXPECT_EQ(m.rcode, id == 0xF000 ? dns::Rcode::kNoError : dns::Rcode::kNxDomain) << id;
+  }
+  // AXFR, whole and chunked: the committed zone, verifying.
+  dns::XfrAssembler assembler;
+  for (const dns::Message& e : chunked) assembler.feed(e);
+  ASSERT_EQ(assembler.state(), dns::XfrAssembler::State::kDone);
+  const dns::Message& whole = answers.at(0xF003);
+  for (const dns::Message* axfr : {&whole, &assembler.combined()}) {
+    dns::Zone fresh(kOrigin);
+    ASSERT_EQ(dns::apply_xfr_response(fresh, *axfr), dns::XfrOutcome::kReplacedAxfr);
+    EXPECT_EQ(fresh.to_wire(), zone.to_wire());
+    const auto verify = dns::verify_zone(fresh, svc.zone_public_key());
+    EXPECT_TRUE(verify.ok) << verify.first_error;
+  }
+  // The IXFR from the old serial: the diff, which brings a secondary at the
+  // old serial to one that verifies.
+  dns::Zone secondary = committed;
+  ASSERT_EQ(dns::apply_xfr_response(secondary, answers.at(0xF004)),
+            dns::XfrOutcome::kAppliedIxfr);
+  EXPECT_EQ(secondary.soa()->serial, new_soa.serial);
+  EXPECT_NE(secondary.find(Name::parse("new.corp.example."), RRType::kA), nullptr);
+  const auto verify = dns::verify_zone(secondary, svc.zone_public_key());
+  EXPECT_TRUE(verify.ok) << verify.first_error;
+  // Between batches nothing is held: an up-to-date IXFR is one SOA at once.
+  ask(dns::make_ixfr_query(0, kOrigin, new_soa));
+  EXPECT_EQ(reads(), reads0 + 6);
+  svc.settle();
+  ASSERT_EQ(answers.count(0xF005), 1u);
+  ASSERT_EQ(answers.at(0xF005).answers.size(), 1u);
+  EXPECT_EQ(dns::SoaRdata::decode(answers.at(0xF005).answers[0].rdata).serial, new_soa.serial);
+  EXPECT_EQ(replica.metrics().counter_value("replica.held_dropped"), 0u);
+}
+
+TEST(Service, HeldReadsAreBoundedAndCounted) {
+  // The hold list has a fixed cap: past kMaxHeld a request is dropped and
+  // counted (its client retries), and the rest are answered at the commit.
+  ServiceOptions opt;
+  opt.topology = sim::Topology::kLan4;
+  opt.disseminate_reads = false;
+  auto svc = make_service(opt);
+  ReplicaNode& replica = svc.replica(1);
+  bool done = false;
+  svc.client().send_update(add_update({"new"}), [&](Client::Result r) {
+    EXPECT_TRUE(r.ok);
+    done = true;
+  });
+  const std::uint64_t sigs0 = replica.signatures_computed();
+  while (replica.signatures_computed() == sigs0 && svc.sim().step()) {
+  }
+  ASSERT_LT(replica.signatures_computed(), sigs0 + 4);
+  const auto reads = [&] { return replica.metrics().counter_value("replica.reads"); };
+  const std::uint64_t reads0 = reads();
+  const util::Bytes read =
+      dns::Message::make_query(0xF000, Name::parse("www.corp.example."), RRType::kA).encode();
+  for (std::size_t i = 0; i < ReplicaNode::kMaxHeld + 10; ++i) {
+    replica.on_client_request(svc.n(), read);
+  }
+  EXPECT_EQ(reads(), reads0);
+  EXPECT_EQ(replica.metrics().counter_value("replica.held_dropped"), 10u);
+  while (!done && svc.sim().step()) {
+  }
+  ASSERT_TRUE(done);
+  svc.settle();
+  EXPECT_EQ(reads(), reads0 + ReplicaNode::kMaxHeld);
 }
 
 TEST(Service, ForgedFutureSigningSessionsStayBounded) {

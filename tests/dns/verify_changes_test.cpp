@@ -77,7 +77,8 @@ Message host_update(const Name& host, bool add, const std::string& addr = "10.0.
 
 // ---- doctoring a zone between the SIG installs and the journal close ----
 
-using Tamper = std::function<void(Zone&, const Name& host)>;
+/// `committed` is the primary's zone as it was before the update.
+using Tamper = std::function<void(Zone&, const Name& host, const Zone& committed)>;
 
 /// Replace the RRset's SIG at its owner with a genuine one under the zone
 /// key, so that only the check under test can catch the doctoring.
@@ -89,7 +90,7 @@ void resign(Zone& z, const Name& owner, RRType type) {
   z.add_record(sign_rrset(copy, kOrigin, 0, kInception, kExpiration, sign_with_zone_key));
 }
 
-void forge_sig(Zone& z, const Name& host) {
+void forge_sig(Zone& z, const Name& host, const Zone&) {
   const RRset* sigs = z.find(host, RRType::kSIG);
   if (!sigs) return;
   const RRset copy = *sigs;
@@ -103,10 +104,10 @@ void forge_sig(Zone& z, const Name& host) {
   }
 }
 
-void drop_sig(Zone& z, const Name& host) { z.remove_sigs(host, RRType::kA); }
+void drop_sig(Zone& z, const Name& host, const Zone&) { z.remove_sigs(host, RRType::kA); }
 
 /// A validly signed NXT that skips the owner's real successor.
-void misdirect_nxt(Zone& z, const Name& host) {
+void misdirect_nxt(Zone& z, const Name& host, const Zone&) {
   const RRset* nxt = z.find(host, RRType::kNXT);
   if (!nxt) return;
   const std::uint32_t ttl = nxt->ttl;
@@ -119,12 +120,12 @@ void misdirect_nxt(Zone& z, const Name& host) {
 
 /// Put back the NXT (and its SIG) the predecessor had before the update, so
 /// the diff carries nothing at the predecessor at all.
-void unrepair_predecessor(Zone& z, const Name& host) {
+void unrepair_predecessor(Zone& z, const Name& host, const Zone& committed) {
   const Name* pred = z.cyclic_predecessor(host);
   if (!pred) return;
   const Name owner = *pred;
-  const RRset* old_nxt = z.find_committed(owner, RRType::kNXT);
-  const RRset* old_sigs = z.find_committed(owner, RRType::kSIG);
+  const RRset* old_nxt = committed.find(owner, RRType::kNXT);
+  const RRset* old_sigs = committed.find(owner, RRType::kSIG);
   if (!old_nxt || !old_sigs) return;
   const RRset nxt = *old_nxt;
   const RRset sigs = *old_sigs;
@@ -138,7 +139,7 @@ void unrepair_predecessor(Zone& z, const Name& host) {
 
 /// A different zone key at the apex, its KEY RRset signed by the real key so
 /// that only the trust-anchor check can catch it.
-void swap_key(Zone& z, const Name&) {
+void swap_key(Zone& z, const Name&, const Zone&) {
   const RRset* key = z.find(kOrigin, RRType::kKEY);
   if (!key) return;
   const std::uint32_t ttl = key->ttl;
@@ -147,7 +148,7 @@ void swap_key(Zone& z, const Name&) {
   resign(z, kOrigin, RRType::kKEY);
 }
 
-void strip_nxt(Zone& z, const Name& host) {
+void strip_nxt(Zone& z, const Name& host, const Zone&) {
   z.remove_rrset(host, RRType::kNXT);
   z.remove_sigs(host, RRType::kNXT);
 }
@@ -166,12 +167,13 @@ struct Verdict {
 Verdict transfer(AuthoritativeServer& primary, Zone& secondary, const Message& update,
                  const Tamper& tamper = nullptr) {
   const Name host = update.updates().front().name;
+  const Zone committed = primary.zone();
   const UpdateResult res = primary.apply_update(update, kInception + 1);
   EXPECT_EQ(res.rcode, Rcode::kNoError);
   for (const auto& task : res.sig_tasks) {
     primary.install_signature(task, sign_with_zone_key(task.data));
   }
-  if (tamper) tamper(primary.zone(), host);
+  if (tamper) tamper(primary.zone(), host, committed);
   primary.finalize_journal();
 
   Verdict v;

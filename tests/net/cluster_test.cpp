@@ -18,13 +18,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/client.hpp"
 #include "dns/dnssec.hpp"
+#include "dns/edns.hpp"
 #include "dns/xfr.hpp"
 #include "net/cluster.hpp"
 #include "net/edge.hpp"
@@ -197,6 +201,21 @@ class ClusterTest : public ::testing::Test {
     rr.type = dns::RRType::kA;
     rr.ttl = 300;
     rr.rdata = dns::ARdata::from_text(addr).encode();
+    update.updates().push_back(rr);
+    StubResolver r = resolver_for(via, /*timeout=*/5.0, /*attempts=*/3);
+    return r.send_update(std::move(update), &tsig_key_);
+  }
+
+  StubResolver::Result delete_record(unsigned via, const std::string& name) {
+    dns::Message update;
+    update.opcode = dns::Opcode::kUpdate;
+    update.questions.push_back(
+        {dns::Name::parse("example.com."), dns::RRType::kSOA, dns::RRClass::kIN});
+    dns::ResourceRecord rr;
+    rr.name = dns::Name::parse(name);
+    rr.type = dns::RRType::kA;
+    rr.klass = dns::RRClass::kANY;  // delete the RRset (RFC 2136 §2.5.2)
+    rr.ttl = 0;
     update.updates().push_back(rr);
     StubResolver r = resolver_for(via, /*timeout=*/5.0, /*attempts=*/3);
     return r.send_update(std::move(update), &tsig_key_);
@@ -375,6 +394,112 @@ TEST_F(ClusterTest, ServesSignedZoneCrashAndRecover) {
 
 /// Same (4,1) cluster, but every replica runs four SO_REUSEPORT frontend
 /// shards — the read-scaling deployment shape.
+TEST_F(ClusterTest, AnswersDuringSigningCarryOnlyInstalledSigs) {
+  // Replica 1 answers DO reads and zone transfers while a closed-loop client
+  // commits adds and deletes through replica 0. What reaches a replica while
+  // a batch signs waits for the batch's commit point, so every SIG in every
+  // answer verifies under the dealt key — the NXDOMAIN proofs next to the
+  // names being added and deleted included — and every transferred zone
+  // verifies whole.
+  constexpr int kRounds = 12;
+  const dns::Name origin = dns::Name::parse("example.com.");
+  // "mzNN" sorts between "mail" and "ns1", so each add and delete changes
+  // the NXT at its neighbours.
+  const auto name = [](int i, const char* suffix = "") {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "mz%02d%s.example.com.", i, suffix);
+    return std::string(buf);
+  };
+  std::atomic<int> current{1};
+  std::atomic<bool> stop{false};
+  std::vector<std::string> bad;  // written by one thread each until joined
+  std::vector<std::string> bad_zones;
+  unsigned positive = 0, nxdomain = 0, axfrs = 0, ixfrs = 0;
+
+  std::thread reader([&] {
+    StubResolver r = resolver_for(1, /*timeout=*/0.5, /*attempts=*/1);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const int i = current.load(std::memory_order_relaxed);
+      for (const std::string& q : {name(i), name(i, "a"), name(i - 1), name(i - 1, "a"),
+                                   std::string("my.example.com.")}) {
+        dns::Message m = dns::Message::make_query(0, dns::Name::parse(q), dns::RRType::kA);
+        dns::EdnsInfo edns;
+        edns.udp_payload = 4096;
+        edns.dnssec_ok = true;
+        dns::set_edns(m, edns);
+        const auto res = r.exchange(std::move(m));
+        if (!res.ok) continue;
+        const dns::Rcode rcode = res.response.rcode;
+        if (rcode == dns::Rcode::kNxDomain) ++nxdomain;
+        if (rcode == dns::Rcode::kNoError && !res.response.answers.empty()) ++positive;
+        if (!core::Client::response_acceptable(res.response, files_.zone_key)) {
+          bad.push_back(q + " " + dns::to_string(rcode));
+        }
+      }
+    }
+  });
+  std::thread transfers([&] {
+    StubResolver r = resolver_for(1, /*timeout=*/5.0, /*attempts=*/3);
+    std::optional<dns::Zone> secondary;  // kept current by IXFR
+    while (!stop.load(std::memory_order_relaxed)) {
+      dns::Message axfr;
+      axfr.questions.push_back({origin, dns::RRType::kAXFR, dns::RRClass::kIN});
+      const auto full = r.xfr(std::move(axfr));
+      dns::Zone zone(origin);
+      if (full.ok && dns::apply_xfr_response(zone, full.response) ==
+                         dns::XfrOutcome::kReplacedAxfr) {
+        ++axfrs;
+        if (!dns::verify_zone(zone, files_.zone_key).ok) {
+          bad_zones.push_back("AXFR at serial " + std::to_string(zone.soa()->serial));
+        }
+        if (!secondary) secondary = std::move(zone);
+      }
+      if (!secondary) continue;
+      const auto diff = r.xfr(make_ixfr_query(0, origin, *secondary->soa()));
+      if (!diff.ok) continue;
+      if (dns::apply_xfr_response(*secondary, diff.response) == dns::XfrOutcome::kAppliedIxfr) {
+        ++ixfrs;
+        if (!dns::verify_zone(*secondary, files_.zone_key).ok) {
+          bad_zones.push_back("IXFR to serial " + std::to_string(secondary->soa()->serial));
+        }
+      }
+    }
+  });
+
+  // The closed-loop client: add mzNN, then delete mz(NN-1).
+  bool committed = true;
+  for (int i = 1; i <= kRounds && committed; ++i) {
+    current.store(i, std::memory_order_relaxed);
+    const auto add = add_record(0, name(i), "10.6.0." + std::to_string(i));
+    committed = add.ok && add.response.rcode == dns::Rcode::kNoError;
+    if (committed && i > 1) {
+      const auto del = delete_record(0, name(i - 1));
+      committed = del.ok && del.response.rcode == dns::Rcode::kNoError;
+    }
+  }
+  ::usleep(200 * 1000);  // replica 1 applies the last batch; reads go on
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  transfers.join();
+
+  ASSERT_TRUE(committed) << "an update failed";
+  EXPECT_TRUE(bad.empty()) << bad.size() << " answers carry a SIG that does not verify, first: "
+                           << bad.front();
+  EXPECT_TRUE(bad_zones.empty()) << bad_zones.size()
+                                 << " transferred zones fail verification, first: "
+                                 << bad_zones.front();
+  EXPECT_GT(positive, 0u);
+  EXPECT_GT(nxdomain, 0u);
+  EXPECT_GT(axfrs, 0u);
+  EXPECT_GT(ixfrs, 0u);
+  // Replica 1 ends at the last commit, and its transfer verifies.
+  ASSERT_TRUE(converges_on(1, name(kRounds)));
+  fetch_and_verify_zone(files_.dns_addrs[1]);
+  const auto stats = scrape_stats(1);
+  ASSERT_FALSE(stats.empty());
+  EXPECT_EQ(stats.at("replica.held_dropped"), 0);
+}
+
 class ShardedClusterTest : public ClusterTest {
  protected:
   ShardedClusterTest() { shards_ = 4; }

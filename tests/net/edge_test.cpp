@@ -8,6 +8,7 @@
 //   - bootstrap via AXFR, verify against the dealt zone key, and serve,
 //   - fail closed (ServFail, no install) while unbootstrapped,
 //   - ack a NOTIFY and pull the new serial via a genuine IXFR diff,
+//   - fold a burst of NOTIFYs into a few refreshes,
 //   - refuse a tampered zone and a zone signed under the wrong key,
 //   - roll back a tampered IXFR and apply the next valid one.
 // The bootstrap test runs with one and with two frontend shards, a further
@@ -175,6 +176,12 @@ class EdgeTest : public ::testing::Test {
     server.finalize_journal();
   }
 
+  /// The apex SOA record of `server`'s zone, as a commit point reports it.
+  static dns::ResourceRecord soa_of(const dns::AuthoritativeServer& server) {
+    const dns::Zone& zone = server.zone();
+    return zone.find(zone.origin(), dns::RRType::kSOA)->to_records().front();
+  }
+
   /// Run the loop while `client` executes on its own thread.
   void run_with_client(const std::function<void()>& client) {
     std::thread t([&] {
@@ -306,21 +313,9 @@ TEST_F(EdgeTest, NotifyTriggersIxfrOfSignedUpdate) {
   Notifier::Options nopt;
   nopt.edges = {edge_addr};
   nopt.zone = origin_;
-  nopt.debounce = 0.01;
-  nopt.retry_timeout = 0.3;
   nopt.metrics = &notify_registry;
   dns::AuthoritativeServer* core_raw = core_server.get();
-  Notifier notifier(loop_, nopt, [core_raw]() -> std::optional<dns::ResourceRecord> {
-    const dns::Zone& zone = core_raw->zone();
-    const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::kSOA);
-    if (!soa || soa->rdatas.empty()) return std::nullopt;
-    dns::ResourceRecord rr;
-    rr.name = soa->name;
-    rr.type = soa->type;
-    rr.ttl = soa->ttl;
-    rr.rdata = soa->rdatas.front();
-    return rr;
-  });
+  Notifier notifier(loop_, nopt);
 
   run_with_client([&] {
     ASSERT_TRUE(wait_for([&] { return edge.ready(); }));
@@ -332,7 +327,7 @@ TEST_F(EdgeTest, NotifyTriggersIxfrOfSignedUpdate) {
     loop_.post([&] {
       apply_signed_update(*core_raw, sign, "added.example.com.", "10.1.1.1");
       notifier.start();
-      notifier.on_commit();
+      notifier.on_commit(soa_of(*core_raw));
       committed.store(true, std::memory_order_release);
     });
     ASSERT_TRUE(wait_for([&] { return committed.load(std::memory_order_acquire); }));
@@ -356,24 +351,95 @@ TEST_F(EdgeTest, NotifyTriggersIxfrOfSignedUpdate) {
   });
 }
 
-TEST(Notifier, FirstCommitNotifiesAtOnceAndLaterOnesShareARound) {
-  // A commit after a quiet spell sends its round without waiting out the
-  // debounce interval; commits inside the interval wait for the next round.
+TEST_F(EdgeTest, ANotifyBurstCollapsesIntoFewRefreshes) {
+  // The replica sends a NOTIFY round per commit point, with no debounce; the
+  // edge folds whatever arrives while it refreshes into one pending refresh.
+  // 200 NOTIFYs over 20 commits leave the edge at the newest serial after a
+  // handful of transfers.
+  const threshold::DealtKey dealt = deal(29);
+  const dns::SignFn sign = signer_for(dealt, 29);
+  auto core_server = std::make_unique<dns::AuthoritativeServer>(signed_zone(dealt, 29));
+  std::unique_ptr<DnsFrontend> core_frontend;
+  const SockAddr core_addr = start_core(core_server.get(), &core_frontend);
+  EdgeRuntime edge(loop_, edge_config(write_zone_public(dealt), core_addr));
+  edge.start();
+  Notifier::Options nopt;
+  nopt.edges = {edge.frontend().bound_addr()};
+  nopt.zone = origin_;
+  Notifier notifier(loop_, nopt);
+  dns::AuthoritativeServer* core_raw = core_server.get();
+
+  run_with_client([&] {
+    ASSERT_TRUE(wait_for([&] { return edge.ready(); }));
+    const std::uint64_t refreshes0 = edge.registry().counter("edge.refreshes").value();
+    const std::uint64_t notifies0 = edge.registry().counter("edge.notifies_received").value();
+    std::atomic<bool> sent{false};
+    loop_.post([&] {
+      notifier.start();
+      for (int i = 0; i < 200; ++i) {
+        if (i % 10 == 0) {
+          apply_signed_update(*core_raw, sign, "burst" + std::to_string(i) + ".example.com.",
+                              "10.3.0.1");
+        }
+        notifier.on_commit(soa_of(*core_raw));
+      }
+      sent.store(true, std::memory_order_release);
+    });
+    ASSERT_TRUE(wait_for([&] { return sent.load(std::memory_order_acquire); }));
+    const std::uint32_t newest = 1 + 20;  // the seed serial, then 20 commits
+    StubResolver r = resolver_for(edge.frontend().bound_addr());
+    ASSERT_TRUE(wait_for([&] {
+      const auto res = r.query(origin_, dns::RRType::kSOA);
+      return res.ok && !res.response.answers.empty() &&
+             dns::SoaRdata::decode(res.response.answers.front().rdata).serial == newest;
+    })) << "the edge stopped short of the newest serial";
+    // Loopback may drop a few datagrams of the burst; most must land.
+    EXPECT_GE(edge.registry().counter("edge.notifies_received").value(), notifies0 + 100);
+    const std::uint64_t refreshes = edge.registry().counter("edge.refreshes").value() - refreshes0;
+    EXPECT_GE(refreshes, 1u);
+    EXPECT_LE(refreshes, 10u) << "the edge refreshed per NOTIFY, not per burst";
+    EXPECT_EQ(edge.registry().counter("edge.verify_failures").value(), 0u);
+  });
+}
+
+TEST(Notifier, EveryCommitSendsARoundThatCancelsTheOldRetries) {
+  // Each on_commit sends one NOTIFY at once, carrying that commit's SOA;
+  // the older rounds' pending retransmissions are cancelled, so the only
+  // retry (0.5 s on, nothing acks here) belongs to the newest round.
   EventLoop loop;
   const int sink = udp_bind(SockAddr::parse("127.0.0.1:0"));
   obs::Registry metrics;
   Notifier::Options nopt;
   nopt.edges = {local_addr(sink)};
   nopt.zone = dns::Name::parse("example.com.");
-  nopt.debounce = 60;  // no second round within this test
   nopt.metrics = &metrics;
-  Notifier notifier(loop, nopt, [] { return std::optional<dns::ResourceRecord>(); });
+  Notifier notifier(loop, nopt);
   notifier.start();
-  notifier.on_commit();
-  EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), 1u);
-  notifier.on_commit();
-  notifier.on_commit();
-  EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), 1u);
+  dns::ResourceRecord soa;
+  soa.name = nopt.zone;
+  soa.type = dns::RRType::kSOA;
+  soa.ttl = 3600;
+  for (std::uint32_t serial = 1; serial <= 3; ++serial) {
+    dns::SoaRdata rd;
+    rd.mname = dns::Name::parse("ns1.example.com.");
+    rd.rname = dns::Name::parse("admin.example.com.");
+    rd.serial = serial;
+    soa.rdata = rd.encode();
+    notifier.on_commit(soa);
+    EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), serial);
+  }
+  loop.add_timer(Notifier::kRetryTimeout + 0.3, [&] { loop.stop(); });
+  loop.run();
+  EXPECT_EQ(metrics.counter("replica.notifies_sent").value(), 4u);
+  std::vector<std::uint32_t> serials;
+  std::uint8_t buf[512];
+  for (ssize_t n; (n = ::recv(sink, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
+    const dns::Message m = dns::Message::decode({buf, static_cast<std::size_t>(n)});
+    EXPECT_EQ(m.opcode, dns::Opcode::kNotify);
+    ASSERT_EQ(m.answers.size(), 1u);
+    serials.push_back(dns::SoaRdata::decode(m.answers[0].rdata).serial);
+  }
+  EXPECT_EQ(serials, (std::vector<std::uint32_t>{1, 2, 3, 3}));
   ::close(sink);
 }
 

@@ -99,6 +99,30 @@ TEST_F(DurableRestartTest, ColdRestartReplaysWalWithoutNetworkTransfer) {
   }
 }
 
+TEST_F(DurableRestartTest, ReadDuringBootReplayIsAnsweredAtTheCommitPoint) {
+  // Boot replay re-runs the logged add with its response muted: its client
+  // was answered in the previous life. A direct read that reaches a replica
+  // while the replayed batch signs waits for the batch's commit point and is
+  // answered there, on the first try; it is not a replayed operation.
+  ServiceOptions opt = durable_options();
+  opt.disseminate_reads = false;
+  {
+    ReplicatedService svc(opt, kOrigin, kZoneText);
+    ASSERT_TRUE(svc.add_record(Name::parse("a.dur.example."), "10.0.0.1").ok);
+    svc.settle();
+  }
+  ReplicatedService svc(opt, kOrigin, kZoneText);
+  ReplicaNode& gateway = svc.replica(opt.gateway);
+  ASSERT_EQ(gateway.signatures_computed(), 0u);
+  const auto res = svc.query(Name::parse("a.dur.example."), RRType::kA);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.tries, 1u) << "the read was muted with the replayed operations";
+  EXPECT_EQ(res.response.rcode, dns::Rcode::kNoError);
+  EXPECT_GT(gateway.signatures_computed(), 0u) << "the read did not meet the replay";
+  svc.settle();
+  EXPECT_EQ(gateway.recoveries_completed(), 0u);
+}
+
 TEST_F(DurableRestartTest, RestartFromSnapshotAfterCompaction) {
   ServiceOptions opt = durable_options();
   opt.snapshot_log_bytes = 1;  // compact whenever the replica goes idle
